@@ -4,7 +4,7 @@
 // quality and delivered traffic; a traced run attributes the cost to the
 // node's layers. See README.md for the workloads and every metric.
 //
-//	fleetbench --workload deploy --seed 1 --seconds 10 --trace 0
+//	fleetbench --workload deploy --seed 1 --seconds 6 --trace 0
 //	fleetbench compare <base-dir> [<change-dir>]
 package main
 
@@ -33,7 +33,7 @@ func main() {
 	fs := flag.NewFlagSet("fleetbench", flag.ExitOnError)
 	name := fs.String("workload", "deploy", "workload: deploy, churn or fullmesh")
 	seed := fs.Int64("seed", 1, "seed all inputs are made from")
-	seconds := fs.Int("seconds", 10, "measured span: the workload's virtual phase is scaled to take about this much wall time")
+	seconds := fs.Int("seconds", 6, "measured span: the workload's virtual phase is scaled to take about this much wall time")
 	trace := fs.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced run")
 	_ = fs.Parse(os.Args[1:]) // ExitOnError
 	w, err := findWorkload(*name)
