@@ -105,6 +105,49 @@ func TestTracingIsTransparent(t *testing.T) {
 	}
 }
 
+// TestCheapestReplay: each window's cost comes from the replay in which that
+// window cost least, so a slow stretch in one replay does not move the sum.
+func TestCheapestReplay(t *testing.T) {
+	replay := func(walls ...int) *outcome {
+		o := &outcome{}
+		for _, w := range walls {
+			o.windows = append(o.windows, cost{wall: time.Duration(w) * time.Millisecond})
+		}
+		return o
+	}
+	wall := func(c cost) float64 { return ms(c.wall) }
+	replays := []*outcome{replay(10, 90, 30), replay(50, 20, 40), replay(30, 60, 35)}
+	if got := cheapest(replays, wall); got != 10+20+30 {
+		t.Errorf("cheapest = %v ms, want 60", got)
+	}
+	// A replay cut short by a failed check limits the windows summed.
+	if got := cheapest(append(replays, replay(5)), wall); got != 5 {
+		t.Errorf("cheapest with a short replay = %v ms, want 5", got)
+	}
+}
+
+// TestStolen: wall time loses the share of the CPUs' wanted time that the
+// hypervisor stole, and nothing when the counters show no steal.
+func TestStolen(t *testing.T) {
+	wall := 800 * time.Millisecond
+	for _, c := range []struct {
+		busy0, steal0, busy1, steal1 uint64
+		want                         time.Duration
+	}{
+		{100, 7, 175, 32, 200 * time.Millisecond}, // 25 of 100 ticks stolen
+		{100, 7, 180, 7, 0},                       // no steal
+		{0, 0, 0, 0, 0},                           // /proc/stat unreadable
+		{100, 7, 90, 9, 0},                        // counters went backwards
+	} {
+		if got := stolenPart(wall, c.busy0, c.steal0, c.busy1, c.steal1); got != c.want {
+			t.Errorf("stolenPart(%v, %d, %d, %d, %d) = %v, want %v", wall, c.busy0, c.steal0, c.busy1, c.steal1, got, c.want)
+		}
+	}
+	if busy, _ := machineTicks(); busy == 0 {
+		t.Log("/proc/stat gives no CPU times here; wall time is used as measured")
+	}
+}
+
 func TestFuncLayerOf(t *testing.T) {
 	for name, want := range map[string]layer{
 		"allpairs/internal/overlay.(*Node).scheduleTicks.func1":    layerTick,

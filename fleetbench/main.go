@@ -4,7 +4,7 @@
 // quality and delivered traffic; a traced run attributes the cost to the
 // node's layers. See README.md for the workloads and every metric.
 //
-//	fleetbench --workload deploy --seed 1 --seconds 6 --trace 0
+//	fleetbench --workload deploy --seed 1 --seconds 10 --trace 0
 //	fleetbench compare <base-dir> [<change-dir>]
 package main
 
@@ -15,12 +15,17 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 )
 
-// setupRuns is how many times a run builds and warms up its fleet; setup_s
-// is the median.
-const setupRuns = 3
+// replays is how many times an untraced run builds and warms up its fleet
+// and measures the phase. Every replay builds the same fleet from the seed
+// and runs the same phase, so setup_s is the median set-up and each cost
+// metric takes, window by window, the cheapest replay: machine noise must
+// then hit the same window of every replay to move the figure.
+const replays = 3
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "compare" {
@@ -33,7 +38,7 @@ func main() {
 	fs := flag.NewFlagSet("fleetbench", flag.ExitOnError)
 	name := fs.String("workload", "deploy", "workload: deploy, churn or fullmesh")
 	seed := fs.Int64("seed", 1, "seed all inputs are made from")
-	seconds := fs.Int("seconds", 6, "measured span: the workload's virtual phase is scaled to take about this much wall time")
+	seconds := fs.Int("seconds", 10, "measured span: the workload's virtual phase is scaled so that its replays take about this much wall time")
 	trace := fs.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced run")
 	_ = fs.Parse(os.Args[1:]) // ExitOnError
 	w, err := findWorkload(*name)
@@ -79,26 +84,29 @@ func run(w workload, seed int64, seconds int, traced bool) (bool, error) {
 	fmt.Printf("# generator: open loop on virtual time, %d flows × %g datagrams/s = %g datagrams/s; never late (the schedule is virtual)\n",
 		w.flows, w.flowRate, w.rate())
 
-	runs := setupRuns
+	runs := replays
 	if traced {
 		runs = 1
 	}
 	var setups []time.Duration
-	var f *fleet
-	var joined time.Duration
+	var plains []*outcome
 	for i := 0; i < runs; i++ {
-		f = nil // let the previous fleet be collected before the next set-up
-		var d time.Duration
-		var err error
-		f, d, joined, err = setUp(w, seed, total, nil)
+		f, d, joined, err := setUp(w, seed, total, nil)
 		if err != nil {
 			return false, err
 		}
 		setups = append(setups, d)
+		plains = append(plains, measure(f, span, joined))
 	}
-	plain := measure(f, span, joined)
-	f = nil
+	plain := plains[0]
 	errs := plain.errs
+	for i, o := range plains {
+		if o.virtual != plain.virtual {
+			errs = append(errs, fmt.Sprintf("replay %d differs from replay 1 in virtual time: %+v vs %+v", i+1, o.virtual, plain.virtual))
+		}
+		fmt.Printf("# replay %d: set-up %.3fs, %.1f%% of the phase's wall stolen, window wall ms %s\n",
+			i+1, setups[i].Seconds(), 100*o.total.stolen.Seconds()/o.total.wall.Seconds(), windowWalls(o.windows))
+	}
 
 	defs, values := endToEndDefs, map[string]float64(nil)
 	if traced {
@@ -113,11 +121,11 @@ func run(w workload, seed int64, seconds int, traced bool) (bool, error) {
 		}
 		defs, values = perLayerDefs(), perLayer(plain, tr)
 	} else {
-		values = endToEnd(w, setups, plain)
+		values = endToEnd(w, setups, plains)
 	}
 
 	v := plain.virtual
-	fmt.Printf("# setups %v; warm-up converged at %s virtual; virtual results repeat exactly for a seed\n", setups, plain.start)
+	fmt.Printf("# warm-up converged at %s virtual; virtual results repeat exactly for a seed\n", plain.start)
 	fmt.Printf("# data attempted=%d failed=%d delivered=%d latency samples=%d; view installs=%d\n",
 		v.attempted, v.failed, v.delivered, v.latencySamples, v.installs)
 	fmt.Printf("%-36s %16.6g %s\n", "converge_s", v.convergeS, "s")
@@ -140,6 +148,14 @@ func run(w workload, seed int64, seconds int, traced bool) (bool, error) {
 	}
 	fmt.Println(string(out))
 	return res.Correct, nil
+}
+
+func windowWalls(ws []cost) string {
+	parts := make([]string, len(ws))
+	for i, c := range ws {
+		parts[i] = strconv.FormatInt((c.wall - c.stolen).Milliseconds(), 10)
+	}
+	return strings.Join(parts, " ")
 }
 
 func boolInt(b bool) int {

@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 	"slices"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
@@ -24,16 +28,49 @@ const (
 	warmupSlack  = time.Minute      // warm-up fails this long after the minimum
 )
 
-// cost is the process cost of running the simulation for a while.
+// cost is the process cost of running the simulation for a while. stolen is
+// the share of wall the hypervisor gave the machine's CPUs to other guests.
 type cost struct {
-	cpu, wall time.Duration
-	alloc     uint64
+	cpu, wall, stolen time.Duration
+	alloc             uint64
 }
 
 func (c *cost) add(o cost) {
 	c.cpu += o.cpu
 	c.wall += o.wall
+	c.stolen += o.stolen
 	c.alloc += o.alloc
+}
+
+// machineTicks reads the machine's busy and stolen CPU time from /proc/stat,
+// in clock ticks summed over its CPUs; both are 0 where it cannot be read.
+func machineTicks() (busy, steal uint64) {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0, 0
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0, 0
+	}
+	var v [8]uint64 // user nice system idle iowait irq softirq steal
+	for i := range v {
+		v[i], _ = strconv.ParseUint(f[i+1], 10, 64)
+	}
+	return v[0] + v[1] + v[2] + v[5] + v[6], v[7]
+}
+
+// stolenPart returns the part of wall the hypervisor stole, given machineTicks
+// read before and after it: wall times the share of the time the CPUs
+// wanted to run that was stolen. CPUs left idle add next to nothing, so a
+// single busy thread's share is close to its own.
+func stolenPart(wall time.Duration, busy0, steal0, busy1, steal1 uint64) time.Duration {
+	if busy1 < busy0 || steal1 <= steal0 {
+		return 0
+	}
+	b, s := busy1-busy0, steal1-steal0
+	return time.Duration(float64(wall) * float64(s) / float64(b+s))
 }
 
 func cpuTime() time.Duration {
@@ -55,24 +92,32 @@ func readRuntime(names ...string) []metrics.Sample {
 
 func allocBytes() uint64 { return readRuntime("/gc/heap/allocs:bytes")[0].Value.Uint64() }
 
+// liveHeap is the heap's object bytes; right after a collection, the live heap.
+func liveHeap() uint64 { return readRuntime("/memory/classes/heap/objects:bytes")[0].Value.Uint64() }
+
 // runSim advances the simulation to until and returns what that cost the
 // process. Everything the benchmark does between calls — sampling, the
 // oracle, convergence polls and churn injection — is excluded.
 func runSim(f *fleet, until time.Duration) cost {
+	b0, s0 := machineTicks()
 	c0, a0 := cpuTime(), allocBytes()
 	t0 := time.Now()
 	f.net.RunUntil(until)
 	wall := time.Since(t0)
-	return cost{cpu: cpuTime() - c0, wall: wall, alloc: allocBytes() - a0}
+	c := cost{cpu: cpuTime() - c0, wall: wall, alloc: allocBytes() - a0}
+	b1, s1 := machineTicks()
+	c.stolen = stolenPart(wall, b0, s0, b1, s1)
+	return c
 }
 
 // setUp builds a fleet and runs its warm-up until every member has joined,
 // holds the primary's view stamp and has a route to every peer, checking
 // every warmupPoll from the workload's minimum warm-up on. It returns the
-// wall time that took and the virtual time at which the boot join storm
-// converged.
+// wall time that took, less its stolen part, and the virtual time at which
+// the boot join storm converged.
 func setUp(w workload, seed int64, total time.Duration, tr *tracer) (*fleet, time.Duration, time.Duration, error) {
 	runtime.GC()
+	b0, s0 := machineTicks()
 	start := time.Now()
 	f := newFleet(w, seed, total, tr)
 	joined := time.Duration(-1)
@@ -90,7 +135,9 @@ func setUp(w workload, seed int64, total time.Duration, tr *tracer) (*fleet, tim
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("warm-up of %s did not converge: %w", w.name, err)
 	}
-	return f, time.Since(start), joined, nil
+	wall := time.Since(start)
+	b1, s1 := machineTicks()
+	return f, wall - stolenPart(wall, b0, s0, b1, s1), joined, nil
 }
 
 // snapshot holds the cumulative counters the measured phase is the
@@ -190,9 +237,17 @@ func measure(f *fleet, span time.Duration, joined time.Duration) *outcome {
 	if f.tr != nil {
 		f.tr.reset()
 	}
-	// Every phase starts from a collected heap, so the collector's cycles
-	// fall alike in every run of a seed.
+	// The collector runs off the clock, where allocation alone decides it:
+	// the phase starts from a collected heap with automatic collection off,
+	// and at a window boundary the benchmark collects once the phase has
+	// allocated as much as the live heap, as GOGC=100 would. The runtime's
+	// own pacer would place a cycle by timing, in another window in each
+	// replay and in or out of the phase from seed to seed; at 0.3–0.4 s a
+	// cycle that would swing a run's cost by a tenth. GC cost shows in
+	// alloc_bytes_per_node_s, heap_bytes_per_node and gc.*.
+	gcPercent := debug.SetGCPercent(-1)
 	runtime.GC()
+	gcAlloc, gcLive := allocBytes(), liveHeap()
 	o.before = takeSnapshot(f)
 
 	var nextChurn, crashAt, poll, crashed time.Duration
@@ -222,6 +277,10 @@ func measure(f *fleet, span time.Duration, joined time.Duration) *outcome {
 			cur = cost{}
 			q.sample(f)
 			nextWin += win
+			if allocBytes()-gcAlloc >= gcLive {
+				runtime.GC()
+				gcAlloc, gcLive = allocBytes(), liveHeap()
+			}
 		}
 		if crashAt > 0 && now >= crashAt {
 			crashAt = 0
@@ -242,6 +301,7 @@ func measure(f *fleet, span time.Duration, joined time.Duration) *outcome {
 		if nextChurn > 0 && now >= nextChurn {
 			ep, err := f.churnOne(churnRng, crashNext)
 			if err != nil {
+				debug.SetGCPercent(gcPercent)
 				o.errs = append(o.errs, err.Error())
 				return o
 			}
@@ -250,7 +310,14 @@ func measure(f *fleet, span time.Duration, joined time.Duration) *outcome {
 			nextChurn += w.churnEvery()
 		}
 	}
+	debug.SetGCPercent(gcPercent)
 	o.after = takeSnapshot(f)
+	if f.tr != nil {
+		// The spans and counts end with the phase, like its wall time; the
+		// failover follow-up and the drain below run off the clock.
+		frozen := *f.tr
+		o.tr = &frozen
+	}
 	o.rowsHeld, o.concFail = endState(f)
 	// A failover still under way at the end of the phase is followed, off
 	// the clock, up to its bound.
@@ -305,7 +372,7 @@ func measure(f *fleet, span time.Duration, joined time.Duration) *outcome {
 	}
 
 	runtime.GC()
-	o.heapBytes = readRuntime("/memory/classes/heap/objects:bytes")[0].Value.Uint64()
+	o.heapBytes = liveHeap()
 	runtime.KeepAlive(f)
 	return o
 }
@@ -349,11 +416,21 @@ func quantile(sorted []float64, q float64) float64 {
 	return sorted[max(0, min(i, len(sorted)-1))]
 }
 
-// medianCost returns the per-window median of a cost component.
-func medianCost(ws []cost, pick func(cost) float64) float64 {
-	vals := make([]float64, len(ws))
-	for i, c := range ws {
-		vals[i] = pick(c)
+// cheapest sums a cost component over the windows of the measured phase,
+// taking each window from the replay in which it cost least. The replays ran
+// the same windows of the same fleet, so they differ only by the machine.
+func cheapest(replays []*outcome, pick func(cost) float64) float64 {
+	n := len(replays[0].windows)
+	for _, o := range replays {
+		n = min(n, len(o.windows)) // a replay cut short has failed a check
 	}
-	return median(vals)
+	sum := 0.0
+	for i := range n {
+		low := math.Inf(1)
+		for _, o := range replays {
+			low = min(low, pick(o.windows[i]))
+		}
+		sum += low
+	}
+	return sum
 }

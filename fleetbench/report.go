@@ -109,22 +109,26 @@ func perLayerDefs() []metricDef {
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// endToEnd computes the end-to-end metrics of an untraced run. Costs are
-// per node per virtual second, each the median over the measured phase's
-// windows; setup time is the median over the set-ups.
-func endToEnd(w workload, setups []time.Duration, o *outcome) map[string]float64 {
-	nodeSec := float64(w.n) * (o.span / time.Duration(w.windows)).Seconds()
+// endToEnd computes the end-to-end metrics of an untraced run from its
+// replays. Costs are per node per virtual second of the measured phase,
+// summed over its windows with each window taken from its cheapest replay;
+// wall time leaves out what the hypervisor stole. Setup time and live heap
+// are the medians over the replays.
+func endToEnd(w workload, setups []time.Duration, replays []*outcome) map[string]float64 {
+	nodeSec := float64(w.n) * replays[0].span.Seconds()
 	setupS := make([]float64, len(setups))
+	heap := make([]float64, len(replays))
 	for i, s := range setups {
 		setupS[i] = s.Seconds()
+		heap[i] = float64(replays[i].heapBytes)
 	}
-	v := o.virtual
+	v := replays[0].virtual
 	return map[string]float64{
-		"cpu_us_per_node_s":      medianCost(o.windows, func(c cost) float64 { return float64(c.cpu.Microseconds()) }) / nodeSec,
-		"wall_us_per_node_s":     medianCost(o.windows, func(c cost) float64 { return float64(c.wall.Microseconds()) }) / nodeSec,
+		"cpu_us_per_node_s":      cheapest(replays, func(c cost) float64 { return float64(c.cpu) / 1e3 }) / nodeSec,
+		"wall_us_per_node_s":     cheapest(replays, func(c cost) float64 { return float64(c.wall-c.stolen) / 1e3 }) / nodeSec,
 		"setup_s":                median(setupS),
-		"alloc_bytes_per_node_s": medianCost(o.windows, func(c cost) float64 { return float64(c.alloc) }) / nodeSec,
-		"heap_bytes_per_node":    float64(o.heapBytes) / float64(w.n),
+		"alloc_bytes_per_node_s": cheapest(replays, func(c cost) float64 { return float64(c.alloc) }) / nodeSec,
+		"heap_bytes_per_node":    median(heap) / float64(w.n),
 		"route_availability":     v.availability,
 		"route_availability_min": v.availabilityMin,
 		"route_stretch":          v.stretch,

@@ -2,7 +2,7 @@
 # Builds the fleet benchmark from the checkout's sources and runs it with the
 # given arguments. Run it from the repository root:
 #
-#   bash fleetbench/run.sh --workload deploy --seed 1 --seconds 6 --trace 0
+#   bash fleetbench/run.sh --workload deploy --seed 1 --seconds 10 --trace 0
 #   bash fleetbench/run.sh compare results/base results/change
 #
 # Build outputs, the Go build cache and the go command's own configuration

@@ -36,14 +36,15 @@ type workload struct {
 	flowRate float64
 
 	// windows is how many equal windows the measured phase is split into;
-	// cost metrics are medians over them.
+	// cost metrics take each window from its cheapest replay.
 	windows int
 
 	// warmup is the minimum virtual time the fleet gets to join and converge
 	// before the measured phase: the settle bound of a member, one probe
-	// interval plus two routing intervals. virtualPerSecond is the measured phase's virtual
-	// span per second of --seconds, chosen so that a run measures for about
-	// --seconds of wall time on a 2-vCPU machine.
+	// interval plus two routing intervals. virtualPerSecond is the measured
+	// phase's virtual span per second of --seconds, chosen so that the
+	// replays of a run together measure for about --seconds of wall time on
+	// a 2-vCPU machine.
 	warmup           time.Duration
 	virtualPerSecond time.Duration
 }
@@ -52,23 +53,21 @@ var workloads = []workload{
 	{
 		name: "deploy", alg: overlay.AlgQuorum, n: 300, coords: 1, planetLab: true,
 		flows: 2000, flowRate: 5,
-		windows: 20, warmup: 60 * time.Second, virtualPerSecond: 6 * time.Second,
+		windows: 10, warmup: 60 * time.Second, virtualPerSecond: 2 * time.Second,
 	},
 	{
 		name: "churn", alg: overlay.AlgQuorum, n: 300, coords: 3,
 		loss: 0.02, dup: 0.01, jitter: 10 * time.Millisecond,
-		// One departure every 4 s: at --seconds 6 each 4 s window holds
-		// exactly one. The crash lands after 7 of 12 windows, so the
-		// failover's aftermath — whose cost varies twofold from seed to
-		// seed — never decides a median.
-		churnPerMin: 0.05, crashWindow: 7,
+		// One departure every 4 s: at --seconds 10 each 4 s window holds
+		// exactly one. The crash lands after 3 of 6 windows.
+		churnPerMin: 0.05, crashWindow: 3,
 		flows: 1000, flowRate: 1,
-		windows: 12, warmup: 60 * time.Second, virtualPerSecond: 8 * time.Second,
+		windows: 6, warmup: 60 * time.Second, virtualPerSecond: 2400 * time.Millisecond,
 	},
 	{
 		name: "fullmesh", alg: overlay.AlgFullMesh, n: 300, coords: 1, planetLab: true,
 		flows: 1000, flowRate: 1,
-		windows: 20, warmup: 90 * time.Second, virtualPerSecond: 16 * time.Second,
+		windows: 10, warmup: 90 * time.Second, virtualPerSecond: 5 * time.Second,
 	},
 }
 
