@@ -16,13 +16,14 @@
 // Two modes are offered:
 //
 //   - Simulation: run hundreds of protocol-faithful nodes in-process on a
-//     deterministic virtual-time network (NewSimulation). All experiments in
-//     EXPERIMENTS.md run this way.
+//     deterministic virtual-time network (NewSimulation). Every
+//     cmd/experiments subcommand runs this way.
 //   - Deployment: run a real node over UDP (StartNode) against a membership
 //     coordinator (StartCoordinator), as cmd/overlayd and cmd/coordinator do.
 //
 // The paper's evaluation — every figure and table — can be regenerated with
-// cmd/experiments; see DESIGN.md for the experiment index.
+// cmd/experiments, whose usage lists one subcommand per figure or table;
+// PERF.md records measured numbers together with their machines.
 package allpairs
 
 import (

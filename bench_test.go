@@ -1,10 +1,11 @@
 package allpairs
 
-// One benchmark per table and figure of the paper's evaluation, plus the
-// ablations called out in DESIGN.md. Benchmarks report the experiment's
-// headline quantity via b.ReportMetric so `go test -bench . -benchmem`
-// regenerates the numbers EXPERIMENTS.md records. cmd/experiments produces
-// the same data at full paper scale.
+// One benchmark per table and figure of the paper's evaluation, plus
+// ablations of the paper's design choices (routing interval, row encoding,
+// rendezvous redundancy, row staleness). Benchmarks report the experiment's
+// headline quantity via b.ReportMetric, so `go test -bench . -benchmem`
+// regenerates them; PERF.md records measured numbers with their machines.
+// cmd/experiments produces the same data at full paper scale.
 
 import (
 	"fmt"
@@ -247,7 +248,7 @@ func BenchmarkDiamondCounting(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4).
+// Ablations of the paper's design choices.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationInterval compares quorum routing bandwidth at the paper's
@@ -659,10 +660,10 @@ func BenchmarkRecomputeTrajectory(b *testing.B) {
 	}
 }
 
-// benchSlottedView returns a slot-addressed view over slots slots: every slot
+// benchSlotView returns a slot-addressed view over slots slots: every slot
 // is occupied by ID slot+1 except those listed in dead (tombstones). Slot 0
 // (ID 1) is the benchmarked node itself.
-func benchSlottedView(b *testing.B, version uint32, slots int, dead ...int) *membership.ViewInfo {
+func benchSlotView(b *testing.B, version uint32, slots int, dead ...int) *membership.ViewInfo {
 	b.Helper()
 	tomb := make(map[int]bool, len(dead))
 	for _, s := range dead {
@@ -681,79 +682,33 @@ func benchSlottedView(b *testing.B, version uint32, slots int, dead ...int) *mem
 	return v
 }
 
-// BenchmarkViewRemap records the per-membership-change cost behind
-// BENCH_4.json: what one join/leave costs a node whose link-state table is
-// fully populated. "remap" is the legacy dense-view path — sorted-ID slots,
-// so admitting a low ID shifts every member and the whole table, route
-// state, and caches are rebuilt (O(rows·n) at minimum); "stable" is the
-// slot-addressed path, where the same join fills one tombstone and the same
-// leave cuts one slot's column (O(rows + n)). Each iteration performs a
-// join+leave round trip so state returns to its starting shape.
-func BenchmarkViewRemap(b *testing.B) {
+// BenchmarkViewChange records the per-membership-change cost: what one
+// join/leave costs a node whose link-state table is fully populated. Over n+1
+// slots the last one is alternately occupied and tombstoned, so the join
+// fills one slot and the leave cuts one slot's column (O(rows + n)), and
+// each iteration's join+leave round trip returns state to its starting
+// shape.
+func BenchmarkViewChange(b *testing.B) {
 	for _, n := range []int{500, 2000, 5000} {
-		// Dense: view A holds IDs 1,3,4,...,n+1 (every slot shifts when ID 2
-		// is admitted); view B = A ∪ {2}. The node is ID 1 at slot 0 in both.
-		denseView := func(version uint32, withTwo bool) *membership.ViewInfo {
-			ids := make([]wire.NodeID, 0, n+1)
-			ids = append(ids, 1)
-			if withTwo {
-				ids = append(ids, 2)
-			}
-			for i := 0; i < n-1; i++ {
-				ids = append(ids, wire.NodeID(3+i))
-			}
-			ms := make([]wire.Member, len(ids))
-			for i, id := range ids {
-				ms[i] = wire.Member{ID: id}
-			}
-			v, err := membership.NewViewInfo(wire.View{Epoch: 1, Version: version, Members: ms})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return v
-		}
-		fillQuorum := func(view *membership.ViewInfo) (*core.Quorum, *transport.SimEnv) {
+		b.Run(fmt.Sprintf("quorum/n=%d/stable", n), func(b *testing.B) {
+			vLeft := benchSlotView(b, 1, n+1, n)
+			vJoin := benchSlotView(b, 2, n+1)
 			env := benchEnv()
 			env.SetLocalID(1)
-			q, err := core.NewQuorum(env, core.QuorumConfig{}, view, 0)
+			q, err := core.NewQuorum(env, core.QuorumConfig{}, vLeft, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
-			self := benchRow(view.Slots(), 0, 0)
+			self := benchRow(vLeft.Slots(), 0, 0)
 			q.SelfRow = func() []wire.LinkEntry { return self }
 			q.LinkAlive = func(int) bool { return true }
-			g, err := grid.NewMasked(view.Slots(), view.OccupiedMask())
+			g, err := grid.NewMasked(vLeft.Slots(), vLeft.OccupiedMask())
 			if err != nil {
 				b.Fatal(err)
 			}
 			for _, c := range g.Clients(0) {
-				q.Table().Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: benchRow(view.Slots(), c, 0)})
+				q.Table().Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: benchRow(vLeft.Slots(), c, 0)})
 			}
-			return q, env
-		}
-		b.Run(fmt.Sprintf("quorum/n=%d/remap", n), func(b *testing.B) {
-			va, vb := denseView(1, false), denseView(2, true)
-			q, _ := fillQuorum(va)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := q.SetView(vb, 0); err != nil {
-					b.Fatal(err)
-				}
-				if err := q.SetView(va, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if st := q.Stats(); st.ViewRemaps != uint64(2*b.N) {
-				b.Fatalf("remap bench took %d remaps, want %d", st.ViewRemaps, 2*b.N)
-			}
-		})
-		b.Run(fmt.Sprintf("quorum/n=%d/stable", n), func(b *testing.B) {
-			// n+1 slots: alternately occupy and tombstone the last one — the
-			// same join+leave, expressed in slot space.
-			vLeft := benchSlottedView(b, 1, n+1, n)
-			vJoin := benchSlottedView(b, 2, n+1)
-			q, _ := fillQuorum(vLeft)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := q.SetView(vJoin, 0); err != nil {
@@ -768,37 +723,19 @@ func BenchmarkViewRemap(b *testing.B) {
 				b.Fatalf("stable bench: extends=%d remaps=%d, want %d/0", st.ViewExtends, st.ViewRemaps, 2*b.N)
 			}
 		})
-		fillMesh := func(view *membership.ViewInfo) *core.FullMesh {
+		b.Run(fmt.Sprintf("fullmesh/n=%d/stable", n), func(b *testing.B) {
+			vLeft := benchSlotView(b, 1, n+1, n)
+			vJoin := benchSlotView(b, 2, n+1)
 			env := benchEnv()
 			env.SetLocalID(1)
-			f := core.NewFullMesh(env, core.FullMeshConfig{}, view, 0)
-			self := benchRow(view.Slots(), 0, 0)
+			f := core.NewFullMesh(env, core.FullMeshConfig{}, vLeft, 0)
+			self := benchRow(vLeft.Slots(), 0, 0)
 			f.SelfRow = func() []wire.LinkEntry { return self }
-			for s := 1; s < view.Slots(); s++ {
-				if !view.Occupied(s) {
-					continue
+			for s := 1; s < vLeft.Slots(); s++ {
+				if vLeft.Occupied(s) {
+					f.Table().Put(s, lsdb.Row{Seq: 1, When: env.Now(), Entries: benchRow(vLeft.Slots(), s, 0)})
 				}
-				f.Table().Put(s, lsdb.Row{Seq: 1, When: env.Now(), Entries: benchRow(view.Slots(), s, 0)})
 			}
-			return f
-		}
-		b.Run(fmt.Sprintf("fullmesh/n=%d/remap", n), func(b *testing.B) {
-			va, vb := denseView(1, false), denseView(2, true)
-			f := fillMesh(va)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.SetView(vb, 0)
-				f.SetView(va, 0)
-			}
-			b.StopTimer()
-			if _, remaps := f.ViewChangeStats(); remaps != uint64(2*b.N) {
-				b.Fatalf("remap bench took %d remaps, want %d", remaps, 2*b.N)
-			}
-		})
-		b.Run(fmt.Sprintf("fullmesh/n=%d/stable", n), func(b *testing.B) {
-			vLeft := benchSlottedView(b, 1, n+1, n)
-			vJoin := benchSlottedView(b, 2, n+1)
-			f := fillMesh(vLeft)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f.SetView(vJoin, 0)

@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index). Each subcommand
-// prints whitespace-separated data columns with a commented header, suitable
-// for gnuplot or eyeballing.
+// evaluation, one subcommand per figure or table (listed below). Each
+// subcommand prints whitespace-separated data columns with a commented
+// header, suitable for gnuplot or eyeballing.
 //
 // Usage:
 //

@@ -110,10 +110,10 @@ type QuorumStats struct {
 	// cache instead. Their ratio is the incremental path's hit rate.
 	PairsComputed uint64
 	PairsCached   uint64
-	// ViewExtends counts view installs taken by the stable-extension fast
-	// path (per-slot state preserved in place); ViewRemaps counts installs
-	// that fell back to the wholesale remap. The initial install counts as
-	// neither.
+	// ViewExtends counts view installs taken in place (per-slot state
+	// preserved); ViewRemaps counts installs that rebuilt cold because a
+	// member other than the node itself moved. The initial install counts
+	// as neither.
 	ViewExtends uint64
 	ViewRemaps  uint64
 }
@@ -178,8 +178,9 @@ type Quorum struct {
 	// endpoint rows (the kernel reads intermediate costs out of exactly those
 	// rows), so a cached value revalidates by comparing the endpoints' row
 	// generations — lookup-only maps, never iterated. Self pairs additionally
-	// depend on the live self row, revalidated by content compare. SetView
-	// drops everything: a Remap restarts generations. See sendRecommendations.
+	// depend on the live self row, revalidated by content compare. A cold
+	// view install drops everything: a new table restarts generations. See
+	// sendRecommendations.
 	pairCache     map[uint32]pairVal
 	selfPairCache map[int]selfPairVal
 	lastGen       []uint32    // per-slot generation at the previous tick (dirty-fraction gate)
@@ -221,16 +222,17 @@ func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, s
 }
 
 // SetView installs a new membership view. The grid spans the view's slot
-// space (tombstones masked out), so slot-stable view changes — the only kind
-// a slot-addressed coordinator produces — take the stable-extension fast
-// path: tables grow in place, slots whose occupant departed are retired
-// individually, and everything about unaffected members (stored rows,
-// generation counters, cached pair results, route entries) is left
-// bit-for-bit untouched. A view change that moves surviving members falls
-// back to the wholesale remap: received link-state rows are remapped to the
-// new slot order (lsdb.Table.Remap), route entries whose destination and hop
-// both survived are kept, and remote-rendezvous silence tracking follows the
-// rendezvous to its new slot. Per-view episode state (failover recruitments,
+// space (tombstones masked out), so a view change in which every other
+// member keeps its slot — the only kind a slot-addressed coordinator
+// produces — is taken in place: tables grow, slots whose occupant departed
+// are retired individually, and everything about unaffected members (stored
+// rows, generation counters, cached pair results, route entries) is left
+// bit-for-bit untouched. The node's own re-admission at a new slot is taken
+// the same way: its old slot is retired like any departure, and the
+// self-row compare and the retired slots' generations invalidate exactly
+// the cached results that depended on them. Any other view change — a
+// surviving member moved, or the slot space shrank — rebuilds cold, exactly
+// like the first install. Per-view episode state (failover recruitments,
 // pending reliable-mode acks) resets with the grid either way; cumulative
 // stats survive.
 func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
@@ -247,17 +249,15 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	}
 	oldView := q.view
 	n := view.Slots()
-	stable := oldView != nil && self == q.self && self < oldView.Slots() &&
-		oldView.IDAt(self) == view.IDAt(self) &&
-		membership.StableExtension(oldView, view)
+	stable := membership.StableExtension(oldView, view, view.IDAt(self))
 	q.view = view
 	q.g = g
 	q.self = self
-	switch {
-	case stable:
+	if stable {
 		q.stats.ViewExtends++
-		// Retire exactly the slots whose old occupant is gone (departed, or
-		// already replaced by a quarantine-expired reuse).
+		// Retire exactly the slots whose old occupant is gone (departed,
+		// moved — only the node itself can — or already replaced by a
+		// quarantine-expired reuse).
 		retired := make([]bool, n)
 		anyRetired := false
 		for s := 0; s < oldView.Slots(); s++ {
@@ -329,37 +329,10 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		for len(q.prevSelf) < n && len(q.prevSelf) > 0 {
 			q.prevSelf = append(q.prevSelf, wire.InfCost)
 		}
-	case oldView != nil:
-		q.stats.ViewRemaps++
-		m := membership.SlotMap(oldView, view)
-		q.table = q.table.Remap(m, n)
-		if q.cfg.Asymmetric {
-			q.atable = q.atable.Remap(m, n)
+	} else {
+		if oldView != nil {
+			q.stats.ViewRemaps++
 		}
-		q.routes = remapRoutes(q.routes, m, n, self)
-		lastRec := make(map[int][]time.Time, len(q.lastRecAbout))
-		//lint:orderinvariant map-to-map remap; each key lands in its own slot regardless of visit order
-		for k, about := range q.lastRecAbout {
-			if k < 0 || k >= len(m) || m[k] < 0 {
-				continue
-			}
-			na := make([]time.Time, n)
-			for od, t := range about {
-				if nd := m[od]; nd >= 0 {
-					na[nd] = t
-				}
-			}
-			lastRec[m[k]] = na
-		}
-		q.lastRecAbout = lastRec
-		// Remapped tables restart row generations, so every cached pair value
-		// and generation snapshot is void.
-		q.pairCache = make(map[uint32]pairVal)
-		q.selfPairCache = make(map[int]selfPairVal)
-		q.lastGen = make([]uint32, n)
-		q.prevSelf = q.prevSelf[:0]
-		q.failovers = make(map[int]*failoverState)
-	default:
 		q.table = lsdb.NewTable(n)
 		if q.cfg.Asymmetric {
 			q.atable = lsdb.NewAsymTable(n)
@@ -382,38 +355,6 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 	q.pendingAcks = make(map[int]uint32)
 	q.started = q.env.Now()
 	return nil
-}
-
-// remapRoutes permutes a route table into a new view's slot order via the
-// old→new slot map. Entries whose destination departed are dropped; entries
-// whose intermediate hop departed are dropped too (the path no longer
-// exists); a departed recommending rendezvous only clears the provenance.
-func remapRoutes(old []RouteEntry, oldToNew []int, newN, self int) []RouteEntry {
-	routes := make([]RouteEntry, newN)
-	for od, e := range old {
-		if e.Source == SourceNone {
-			continue
-		}
-		nd := oldToNew[od]
-		if nd < 0 || nd == self {
-			continue
-		}
-		if e.Hop >= 0 {
-			if e.Hop >= len(oldToNew) || oldToNew[e.Hop] < 0 {
-				continue
-			}
-			e.Hop = oldToNew[e.Hop]
-		}
-		if e.From >= 0 {
-			if e.From < len(oldToNew) {
-				e.From = oldToNew[e.From]
-			} else {
-				e.From = -1
-			}
-		}
-		routes[nd] = e
-	}
-	return routes
 }
 
 // Interval implements Router.

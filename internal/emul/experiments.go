@@ -493,7 +493,8 @@ func routeUsable(f *Fleet, src, dst int, e core.RouteEntry) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation: rendezvous redundancy (DESIGN.md `ablation-redundancy`).
+// Ablations: row staleness, reliable link state, rendezvous redundancy (run
+// by the BenchmarkAblation* benchmarks in bench_test.go).
 // ---------------------------------------------------------------------------
 
 // StalenessAblation runs a lossy quorum fleet with the given row-staleness

@@ -14,10 +14,10 @@ import (
 	"allpairs/internal/wire"
 )
 
-// slottedView builds an n-slot view occupied by member IDs slot+1 (slot s →
+// slotView builds an n-slot view occupied by member IDs slot+1 (slot s →
 // ID s+1), with extras overriding or extending specific slots. Tombstones are
 // requested by listing the slot in dead.
-func slottedView(t *testing.T, version uint32, slots int, dead []int, extras ...wire.Member) *membership.ViewInfo {
+func slotView(t *testing.T, version uint32, slots int, dead []int, extras ...wire.Member) *membership.ViewInfo {
 	t.Helper()
 	tomb := make(map[int]bool, len(dead))
 	for _, s := range dead {
@@ -46,7 +46,7 @@ func slottedView(t *testing.T, version uint32, slots int, dead []int, extras ...
 	ms = append(ms, extras...)
 	v, err := membership.NewViewInfo(wire.View{Epoch: 1, Version: version, Slots: uint16(slots), Members: ms})
 	if err != nil {
-		t.Fatalf("slottedView: %v", err)
+		t.Fatalf("slotView: %v", err)
 	}
 	return v
 }
@@ -66,7 +66,7 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	env := transport.NewSimEnv(nw, reg, 0, 1)
 	env.SetLocalID(wire.NodeID(self + 1))
 
-	v1 := slottedView(t, 1, n, nil)
+	v1 := slotView(t, 1, n, nil)
 	q, err := core.NewQuorum(env, core.QuorumConfig{}, v1, self)
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +109,7 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	row100 := append([]wire.LinkEntry(nil), q.Table().Get(100).Entries...)
 
 	// The join: member 9001 lands in appended slot 2000.
-	v2 := slottedView(t, 2, n+1, nil, wire.Member{
+	v2 := slotView(t, 2, n+1, nil, wire.Member{
 		ID: 9001, Slot: n,
 		Addr: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 99, 99, 1}), 4400),
 	})
@@ -148,7 +148,7 @@ func TestJoinAtScaleIsStableExtension(t *testing.T) {
 	}
 
 	// The leave: member 18 (slot 17) departs; the slot becomes a tombstone.
-	v3 := slottedView(t, 3, n+1, []int{17}, wire.Member{
+	v3 := slotView(t, 3, n+1, []int{17}, wire.Member{
 		ID: 9001, Slot: n,
 		Addr: netip.AddrPortFrom(netip.AddrFrom4([4]byte{10, 99, 99, 1}), 4400),
 	})

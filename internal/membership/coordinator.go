@@ -1022,8 +1022,7 @@ func occupiedMembers(slots []wire.Member) []wire.Member {
 }
 
 // slotArray expands a wire view into its slot-indexed member array,
-// tombstones as wire.NilNode. Legacy dense views (Slots == 0) occupy slots
-// in sorted ID order.
+// tombstones as wire.NilNode.
 func slotArray(v wire.View) ([]wire.Member, error) {
 	vi, err := NewViewInfo(v)
 	if err != nil {

@@ -11,21 +11,32 @@ import (
 )
 
 func TestNewViewInfoSortsAndMaps(t *testing.T) {
-	v := wire.View{Version: 3, Members: []wire.Member{{ID: 9}, {ID: 2}, {ID: 5}}}
+	// Members arrive in wire order, not slot order; slot 1 is a tombstone.
+	v := wire.View{Version: 3, Slots: 4, Members: []wire.Member{{ID: 9, Slot: 3}, {ID: 2, Slot: 0}, {ID: 5, Slot: 2}}}
 	vi, err := NewViewInfo(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vi.VersionNum() != 3 || vi.N() != 3 {
-		t.Fatalf("version=%d n=%d", vi.VersionNum(), vi.N())
+	if vi.VersionNum() != 3 || vi.N() != 3 || vi.Slots() != 4 {
+		t.Fatalf("version=%d n=%d slots=%d", vi.VersionNum(), vi.N(), vi.Slots())
 	}
-	wantOrder := []wire.NodeID{2, 5, 9}
-	for i, id := range wantOrder {
-		if vi.IDAt(i) != id {
-			t.Errorf("IDAt(%d) = %d, want %d", i, vi.IDAt(i), id)
+	for s, id := range []wire.NodeID{2, wire.NilNode, 5, 9} {
+		if vi.IDAt(s) != id {
+			t.Errorf("IDAt(%d) = %d, want %d", s, vi.IDAt(s), id)
 		}
-		if s, ok := vi.SlotOf(id); !ok || s != i {
-			t.Errorf("SlotOf(%d) = %d,%v", id, s, ok)
+		if id == wire.NilNode {
+			if vi.Occupied(s) {
+				t.Errorf("tombstone slot %d reads occupied", s)
+			}
+			continue
+		}
+		if got, ok := vi.SlotOf(id); !ok || got != s {
+			t.Errorf("SlotOf(%d) = %d,%v", id, got, ok)
+		}
+	}
+	for i, want := range []wire.NodeID{2, 5, 9} {
+		if got := vi.Members()[i].ID; got != want {
+			t.Errorf("Members()[%d] = %d, want %d (slot order)", i, got, want)
 		}
 	}
 	if _, ok := vi.SlotOf(99); ok {
@@ -34,9 +45,23 @@ func TestNewViewInfoSortsAndMaps(t *testing.T) {
 }
 
 func TestNewViewInfoRejectsDuplicates(t *testing.T) {
-	v := wire.View{Members: []wire.Member{{ID: 1}, {ID: 1}}}
-	if _, err := NewViewInfo(v); err == nil {
-		t.Error("want error for duplicate IDs")
+	for _, c := range []struct {
+		name string
+		v    wire.View
+	}{
+		{"duplicate ID", wire.View{Slots: 2, Members: []wire.Member{{ID: 1, Slot: 0}, {ID: 1, Slot: 1}}}},
+		{"duplicate slot", wire.View{Slots: 2, Members: []wire.Member{{ID: 1, Slot: 1}, {ID: 2, Slot: 1}}}},
+		{"slot overflow", wire.View{Slots: 2, Members: []wire.Member{{ID: 1, Slot: 2}}}},
+		{"nil ID", wire.View{Slots: 1, Members: []wire.Member{{ID: wire.NilNode}}}},
+		// Members with no slot space: an input error, never a layout.
+		{"no slot space", wire.View{Members: []wire.Member{{ID: 1}, {ID: 2, Slot: 1}}}},
+	} {
+		if _, err := NewViewInfo(c.v); err == nil {
+			t.Errorf("%s: want error", c.name)
+		}
+	}
+	if vi, err := NewViewInfo(wire.View{}); err != nil || vi.N() != 0 || vi.Slots() != 0 {
+		t.Errorf("empty view: %v n=%v", err, vi)
 	}
 }
 
@@ -262,19 +287,28 @@ func TestApplyDelta(t *testing.T) {
 	base := NewStaticView([]wire.NodeID{1, 2, 3})
 	vi, err := base.ApplyDelta(wire.ViewDelta{
 		Epoch: 1, BaseVersion: 1, Version: 2,
-		Adds:    []wire.Member{{ID: 9}},
+		Adds:    []wire.Member{{ID: 9, Slot: 3}},
 		Removes: []wire.NodeID{2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vi.VersionNum() != 2 || vi.N() != 3 {
-		t.Fatalf("version=%d n=%d", vi.VersionNum(), vi.N())
+	if vi.VersionNum() != 2 || vi.N() != 3 || vi.Slots() != 4 {
+		t.Fatalf("version=%d n=%d slots=%d", vi.VersionNum(), vi.N(), vi.Slots())
 	}
-	for i, want := range []wire.NodeID{1, 3, 9} {
-		if vi.IDAt(i) != want {
-			t.Errorf("IDAt(%d) = %d, want %d", i, vi.IDAt(i), want)
+	// The removal tombstones slot 1; survivors keep their slots.
+	for s, want := range []wire.NodeID{1, wire.NilNode, 3, 9} {
+		if vi.IDAt(s) != want {
+			t.Errorf("IDAt(%d) = %d, want %d", s, vi.IDAt(s), want)
 		}
+	}
+	// A re-admission lands in the tombstone; an occupied target is refused.
+	re, err := vi.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 2, Version: 3, Adds: []wire.Member{{ID: 2, Slot: 1}}})
+	if err != nil || re.IDAt(1) != 2 || re.N() != 4 {
+		t.Errorf("re-admission into tombstone: %v", err)
+	}
+	if _, err := vi.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 2, Version: 3, Adds: []wire.Member{{ID: 7, Slot: 2}}}); err == nil {
+		t.Error("add to occupied slot accepted")
 	}
 	// Base mismatch, epoch mismatch, unknown remove, duplicate add all fail.
 	if _, err := base.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 7, Version: 8}); err == nil {
@@ -286,20 +320,39 @@ func TestApplyDelta(t *testing.T) {
 	if _, err := base.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2, Removes: []wire.NodeID{55}}); err == nil {
 		t.Error("unknown removal accepted")
 	}
-	if _, err := base.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2, Adds: []wire.Member{{ID: 1}}}); err == nil {
+	if _, err := base.ApplyDelta(wire.ViewDelta{Epoch: 1, BaseVersion: 1, Version: 2, Adds: []wire.Member{{ID: 1, Slot: 5}}}); err == nil {
 		t.Error("duplicate add accepted")
 	}
 }
 
-func TestSlotMap(t *testing.T) {
-	old := NewStaticView([]wire.NodeID{1, 2, 3})
-	next := NewStaticView([]wire.NodeID{0, 1, 3, 4})
-	m := SlotMap(old, next)
-	want := []int{1, -1, 2} // 1→slot1, 2 departed, 3→slot2
-	for i := range want {
-		if m[i] != want[i] {
-			t.Errorf("SlotMap[%d] = %d, want %d", i, m[i], want[i])
+func TestStableExtensionExemptsOnlySelf(t *testing.T) {
+	mk := func(slots int, ms ...wire.Member) *ViewInfo {
+		v, err := NewViewInfo(wire.View{Epoch: 1, Version: 2, Slots: uint16(slots), Members: ms})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return v
+	}
+	old := NewStaticView([]wire.NodeID{1, 2, 3})
+	for _, c := range []struct {
+		name string
+		next *ViewInfo
+		self wire.NodeID
+		want bool
+	}{
+		{"append", mk(4, wire.Member{ID: 1}, wire.Member{ID: 2, Slot: 1}, wire.Member{ID: 3, Slot: 2}, wire.Member{ID: 9, Slot: 3}), 1, true},
+		{"leave", mk(3, wire.Member{ID: 1}, wire.Member{ID: 3, Slot: 2}), 1, true},
+		{"reuse", mk(3, wire.Member{ID: 1}, wire.Member{ID: 7, Slot: 1}, wire.Member{ID: 3, Slot: 2}), 1, true},
+		{"self moved", mk(4, wire.Member{ID: 1}, wire.Member{ID: 2, Slot: 3}, wire.Member{ID: 3, Slot: 2}), 2, true},
+		{"other moved", mk(4, wire.Member{ID: 1}, wire.Member{ID: 2, Slot: 3}, wire.Member{ID: 3, Slot: 2}), 1, false},
+		{"shrunk", mk(2, wire.Member{ID: 1}, wire.Member{ID: 2, Slot: 1}), 1, false},
+	} {
+		if got := StableExtension(old, c.next, c.self); got != c.want {
+			t.Errorf("%s: StableExtension = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if StableExtension(nil, old, 1) {
+		t.Error("first install reported stable")
 	}
 }
 

@@ -155,45 +155,29 @@ func (p *Prober) reset(view *membership.ViewInfo, self int) {
 	}
 }
 
-// SetView installs a new membership view. A slot-stable extension — the
-// only change a slot-addressed coordinator produces — touches nothing but
-// the slots the change names: unchanged members keep their link state,
-// running probe timers, and in-flight probes bit-for-bit; departed slots are
-// stopped and reset cold; newly occupied slots get cold state and a
-// staggered first probe. A view change that moves surviving members falls
-// back to the rebuild: link state follows each destination's node ID to its
-// new slot (EWMA latency/loss and liveness survive), departed members are
-// dropped, new members start cold, and in-flight probes are abandoned —
-// their reply timers were view-relative.
+// SetView installs a new membership view. A view change in which every
+// other member keeps its slot — the only kind a slot-addressed coordinator
+// produces — touches nothing but the slots the change names: unchanged
+// members keep their link state, running probe timers, and in-flight probes
+// bit-for-bit; departed slots are stopped and reset cold; newly occupied
+// slots get cold state and a staggered first probe. The node's own
+// re-admission at a new slot is taken the same way: its old slot goes cold
+// and the new one becomes the self entry. Any other view change rebuilds
+// cold — every link restarts from scratch, exactly like the first install.
 func (p *Prober) SetView(view *membership.ViewInfo, self int) {
-	old := p.view
-	if old != nil && self == p.self && self < old.Slots() &&
-		old.IDAt(self) == view.IDAt(self) &&
-		membership.StableExtension(old, view) {
-		p.setViewStable(old, view)
+	if membership.StableExtension(p.view, view, view.IDAt(self)) {
+		p.setViewStable(p.view, view, self)
 		return
 	}
-	oldLinks := p.links
 	p.reset(view, self)
-	if old != nil {
-		for os, ns := range membership.SlotMap(old, view) {
-			if ns < 0 || ns == self || os >= len(oldLinks) {
-				continue
-			}
-			carried := oldLinks[os]
-			carried.probeTimer, carried.checkTimer = nil, nil
-			carried.awaiting = false
-			p.links[ns] = carried
-			p.updateStatus(ns)
-		}
-	}
 	p.Start()
 }
 
 // setViewStable applies a slot-stable view extension in place.
-func (p *Prober) setViewStable(old, view *membership.ViewInfo) {
+func (p *Prober) setViewStable(old, view *membership.ViewInfo, self int) {
 	n := view.Slots()
 	p.view = view
+	p.self = self
 	for len(p.links) < n {
 		var ls linkState
 		ls.latency.Alpha = p.cfg.LatencyAlpha
@@ -238,14 +222,18 @@ func (p *Prober) setViewStable(old, view *membership.ViewInfo) {
 		if wasAlive && p.OnLinkChange != nil {
 			p.OnLinkChange(s, false)
 		}
-		if view.Occupied(s) {
+		if s != self && view.Occupied(s) {
 			fresh = append(fresh, s)
 		}
+	}
+	lsdb.SelfRow(self, p.row)
+	if p.asymRow != nil {
+		p.asymRow[self] = wire.AsymEntry{Status: wire.MakeStatus(true, 0)}
 	}
 	// Newly occupied slots (reused tombstones and appended slots) start cold
 	// with a staggered first probe; everyone else's schedule is untouched.
 	for s := 0; s < n; s++ {
-		if s == p.self || !view.Occupied(s) {
+		if s == self || !view.Occupied(s) {
 			continue
 		}
 		if s >= old.Slots() || !old.Occupied(s) {

@@ -1,6 +1,7 @@
 package probe
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -364,6 +365,19 @@ func TestSetViewCarriesMeasurements(t *testing.T) {
 	}
 }
 
+// nextView applies a one-step delta to v, failing the test on error.
+func nextView(t *testing.T, v *membership.ViewInfo, adds []wire.Member, removes ...wire.NodeID) *membership.ViewInfo {
+	t.Helper()
+	next, err := v.ApplyDelta(wire.ViewDelta{
+		Epoch: v.Stamp().Epoch, BaseVersion: v.VersionNum(), Version: v.VersionNum() + 1,
+		Adds: adds, Removes: removes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
 func TestSetViewDropsDepartedAndRemapsSlots(t *testing.T) {
 	cfg := Config{Interval: 10 * time.Second, ReplyTimeout: time.Second}
 	f := newFixture(t, 3, cfg, 25*time.Millisecond)
@@ -375,17 +389,134 @@ func TestSetViewDropsDepartedAndRemapsSlots(t *testing.T) {
 		t.Fatal("link 0->2 not measured")
 	}
 
-	// Node 1 departs: ID 2 moves from slot 2 to slot 1.
-	next := membership.NewStaticView([]wire.NodeID{0, 2})
-	p.SetView(next, 0)
-	got, ok := p.Latency(1)
+	// Node 1 departs: its slot becomes a tombstone, ID 2 keeps slot 2.
+	p.SetView(nextView(t, p.view, nil, 1), 0)
+	got, ok := p.Latency(2)
 	if !ok || got != lat2 {
-		t.Errorf("remapped latency = %.2f (ok=%v), want %.2f", got, ok, lat2)
+		t.Errorf("carried latency = %.2f (ok=%v), want %.2f", got, ok, lat2)
 	}
-	if !p.Alive(1) {
-		t.Error("remapped link not alive")
+	if !p.Alive(2) {
+		t.Error("surviving link not alive")
+	}
+	if p.Alive(1) || p.links[1].probeTimer != nil || p.links[1].checkTimer != nil {
+		t.Error("departed slot still alive or probed")
 	}
 	if p.view.N() != 2 {
 		t.Errorf("view size = %d", p.view.N())
+	}
+}
+
+// TestSetViewSelfMoveKeepsLinks: the node is removed and later re-admitted
+// at a new slot — the one another departed member left behind, or an
+// appended one. Every other member kept its slot, so the prober keeps its
+// measurements and running timers on those links, takes the new slot as its
+// self entry, and never probes itself.
+func TestSetViewSelfMoveKeepsLinks(t *testing.T) {
+	for _, target := range []int{3, 5} {
+		t.Run(fmt.Sprintf("slot=%d", target), func(t *testing.T) {
+			cfg := Config{Interval: 10 * time.Second, ReplyTimeout: time.Second}
+			f := newFixture(t, 5, cfg, 25*time.Millisecond)
+			f.startAll()
+			f.nw.RunFor(time.Minute)
+			p := f.probers[1]
+			type link struct {
+				lat          float64
+				probe, check transport.Timer
+				seq          uint32
+			}
+			kept := []int{0, 2, 4}
+			before := map[int]link{}
+			for _, s := range kept {
+				lat, ok := p.Latency(s)
+				if !ok || !p.Alive(s) {
+					t.Fatalf("link 1->%d not measured", s)
+				}
+				before[s] = link{lat, p.links[s].probeTimer, p.links[s].checkTimer, p.links[s].seq}
+			}
+
+			// IDs 1 and 3 leave; ID 1 is re-admitted at the target slot.
+			v3 := nextView(t, nextView(t, p.view, nil, 1, 3), []wire.Member{{ID: 1, Slot: uint16(target)}})
+			p.SetView(v3, target)
+			for _, s := range kept {
+				b := before[s]
+				lat, ok := p.Latency(s)
+				if !ok || lat != b.lat || !p.Alive(s) {
+					t.Errorf("link to slot %d: latency %.2f alive %v, want %.2f alive", s, lat, p.Alive(s), b.lat)
+				}
+				if p.links[s].probeTimer != b.probe || p.links[s].checkTimer != b.check {
+					t.Errorf("link to slot %d: running timers replaced", s)
+				}
+			}
+			for _, s := range []int{1, 3, target} {
+				if p.links[s].probeTimer != nil || p.links[s].checkTimer != nil {
+					t.Errorf("slot %d (old self, vacated or new self) holds a probe timer", s)
+				}
+			}
+			row := p.Row()
+			if row[target].Latency != 0 || !wire.StatusAlive(row[target].Status) {
+				t.Errorf("self entry = %+v", row[target])
+			}
+			if wire.StatusAlive(row[1].Status) || p.Alive(1) {
+				t.Errorf("old self slot reads alive: %+v", row[1])
+			}
+
+			f.nw.RunFor(time.Minute)
+			if p.links[target].seq != 0 || p.links[1].seq != 0 {
+				t.Errorf("probed itself or a tombstone: seq[%d]=%d seq[1]=%d", target, p.links[target].seq, p.links[1].seq)
+			}
+			for _, s := range kept {
+				if p.links[s].seq <= before[s].seq || !p.Alive(s) {
+					t.Errorf("link to slot %d stopped probing after the move", s)
+				}
+			}
+		})
+	}
+}
+
+// TestSetViewSurvivorMoveRebuildsCold covers the one remaining branch: a
+// member other than the node itself moves (no coordinator does this, so the
+// view is built by hand). Every link restarts cold and no timer armed for an
+// old slot survives.
+func TestSetViewSurvivorMoveRebuildsCold(t *testing.T) {
+	cfg := Config{Interval: 10 * time.Second, ReplyTimeout: time.Second}
+	f := newFixture(t, 3, cfg, 25*time.Millisecond)
+	f.startAll()
+	f.nw.RunFor(time.Minute)
+	p := f.probers[0]
+	var old []transport.Timer
+	for s := 1; s < 3; s++ {
+		for _, tm := range []transport.Timer{p.links[s].probeTimer, p.links[s].checkTimer} {
+			if tm != nil {
+				old = append(old, tm)
+			}
+		}
+	}
+	if len(old) == 0 {
+		t.Fatal("no running timers before the view change")
+	}
+
+	// ID 2 moves from slot 2 to slot 3.
+	v2, err := membership.NewViewInfo(wire.View{Epoch: 1, Version: 2, Slots: 4, Members: []wire.Member{
+		{ID: 0, Slot: 0}, {ID: 1, Slot: 1}, {ID: 2, Slot: 3},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetView(v2, 0)
+	for i, tm := range old {
+		if tm.Stop() {
+			t.Errorf("timer %d armed for an old slot survived", i)
+		}
+	}
+	for s := 1; s < 4; s++ {
+		if _, ok := p.Latency(s); ok || p.Alive(s) {
+			t.Errorf("slot %d kept measurements across a cold rebuild", s)
+		}
+	}
+	if p.links[2].probeTimer != nil || p.links[2].checkTimer != nil {
+		t.Error("the vacated slot holds a probe timer")
+	}
+	if p.links[1].probeTimer == nil || p.links[3].probeTimer == nil {
+		t.Error("occupied slots were not rescheduled")
 	}
 }

@@ -8,9 +8,8 @@ import (
 
 // Member is one entry in a membership view: the node's assigned ID, the grid
 // slot it occupies for its lifetime, and its UDP endpoint. Simulated
-// deployments leave the endpoint zero. Slot is meaningful only inside views
-// whose Slots field is nonzero (slot-addressed views); legacy dense views
-// carry zero and derive slots from the sorted ID order.
+// deployments leave the endpoint zero. Slot must lie below the enclosing
+// view's Slots; in a delta's Adds it is the slot the coordinator assigned.
 type Member struct {
 	ID   NodeID
 	Slot uint16
@@ -128,10 +127,10 @@ func (s ViewStamp) After(o ViewStamp) bool {
 // the same view version build identical grids (§5, "Membership Service").
 // Slots is the size of the slot-addressed grid space: members occupy the
 // slots named by their Slot field and every other slot is a tombstone
-// (departed, quarantined, or never assigned). A zero Slots marks a legacy
-// dense view whose slots are the sorted-ID indexes — the trailing-tombstone
-// case makes the slot count unrepresentable from the member list alone, so
-// it must travel on the wire.
+// (departed, quarantined, or never assigned). Trailing tombstones make the
+// slot count unrepresentable from the member list alone, so it travels on
+// the wire. Only an empty view may carry Slots == 0; receivers reject a
+// view with members but no slot space.
 type View struct {
 	Epoch   uint32
 	Version uint32

@@ -11,8 +11,8 @@
 # counts, primary egress, and convergence time at n ∈ {500, 2000}) into the
 # file named in $2 (default BENCH_3.json).
 #
-# Finally it runs the view-change benchmarks — stable slot extension vs
-# wholesale remap on both routers at n ∈ {500, 2000, 5000}, plus the sharded
+# Finally it runs the view-change benchmarks — an in-place join+leave on
+# both routers at n ∈ {500, 2000, 5000}, plus the sharded
 # full-pass recompute at 1/2/4/8 workers (byte-identity asserted before
 # timing) — into the file named in $3 (default BENCH_4.json).
 set -e
@@ -53,6 +53,6 @@ go test -run '^$' -bench 'ViewDissemination' -benchtime 1x -count 3 ./internal/m
 parse_bench < "$tmp" > "$out3"
 echo "wrote $out3"
 
-go test -run '^$' -bench 'ViewRemap|ShardedFullPass' -benchmem -count 3 . | tee "$tmp"
+go test -run '^$' -bench 'ViewChange|ShardedFullPass' -benchmem -count 3 . | tee "$tmp"
 parse_bench < "$tmp" > "$out4"
 echo "wrote $out4"
