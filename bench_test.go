@@ -749,6 +749,104 @@ func BenchmarkViewChange(b *testing.B) {
 	}
 }
 
+// BenchmarkHandleRecommendation times round 2's receive path: one node of an
+// n-slot view taking one full routing interval of recommendations, one
+// message from each of its ~2√n rendezvous servers, each naming a route to
+// every other client of that server. The timer covers parsing, the ID → slot
+// lookups, the rendezvous-silence stamps and the route installs.
+func BenchmarkHandleRecommendation(b *testing.B) {
+	for _, n := range []int{300, 2000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			view := benchView(n)
+			q, err := core.NewQuorum(benchEnv(), core.QuorumConfig{}, view, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := grid.New(n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			type msg struct {
+				h    wire.Header
+				body []byte
+			}
+			var tick []msg
+			entries := 0
+			for _, k := range g.Servers(0) {
+				r := wire.Recommendation{ViewVersion: view.VersionNum()}
+				for _, d := range append([]int{k}, g.Clients(k)...) {
+					if d != 0 {
+						r.Entries = append(r.Entries, wire.RecEntry{Dst: view.IDAt(d), Hop: view.IDAt(k), Cost: wire.Cost(10 + d%50)})
+					}
+				}
+				h, body, err := wire.ParseHeader(wire.AppendRecommendation(nil, view.IDAt(k), r))
+				if err != nil {
+					b.Fatal(err)
+				}
+				tick = append(tick, msg{h, body})
+				entries += len(r.Entries)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, m := range tick {
+					q.HandleRecommendation(m.h, m.body)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*entries), "ns/entry")
+			for dst := 1; dst < n; dst++ {
+				if e, ok := q.BestHop(dst); !ok || e.Source != core.SourceRendezvous {
+					b.Fatalf("no recommended route to slot %d after a full tick: %+v", dst, e)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkViewSlotOf times one ID → slot lookup in a churned n-slot view:
+// member IDs start far from 0, one slot in eight is a tombstone, and one
+// lookup in eight misses. The lookup must not allocate.
+func BenchmarkViewSlotOf(b *testing.B) {
+	for _, n := range []int{300, 2000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var ms []wire.Member
+			ids := make([]wire.NodeID, n)
+			for s := range ids {
+				ids[s] = wire.NodeID(40000 + 3*s)
+				if s%8 != 7 {
+					ms = append(ms, wire.Member{ID: ids[s], Slot: uint16(s)})
+				}
+			}
+			v, err := membership.NewViewInfo(wire.View{Epoch: 1, Version: 1, Slots: uint16(n), Members: ms})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if a := testing.AllocsPerRun(10, func() { v.SlotOf(ids[1]) }); a != 0 {
+				b.Fatalf("SlotOf allocates %.0f times per call", a)
+			}
+			hits := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := v.SlotOf(ids[i%n]); ok {
+					hits++
+				}
+			}
+			b.StopTimer()
+			want := 0
+			for i := 0; i < b.N; i++ {
+				if i%n%8 != 7 {
+					want++
+				}
+			}
+			if hits != want {
+				b.Fatalf("%d hits over %d lookups, want %d", hits, b.N, want)
+			}
+		})
+	}
+}
+
 // BenchmarkShardedFullPass times the full-mesh from-scratch recompute at
 // n = 2000 across worker counts, verifying the sharded pass byte-identical to
 // the serial one before timing. On an m-core host the pass should approach

@@ -147,14 +147,18 @@ type Quorum struct {
 	servers  []int           // default rendezvous servers (grid row + column)
 	defaults [][]int         // per destination: the common rendezvous set for (self, dst)
 
-	// lastRecAbout[k][dst] is when server k last recommended a route to dst;
-	// used for remote rendezvous failure detection. Lazily allocated per
-	// server.
-	lastRecAbout map[int][]time.Time
-	failovers    map[int]*failoverState
-	pendingAcks  map[int]uint32 // server slot → row seq awaiting ack (reliable mode)
-	started      time.Time
-	stats        QuorumStats
+	// recAbout[k][dst] is when server k last recommended a route to dst, as
+	// an offset from origin; used for remote rendezvous failure detection.
+	// A nil array means k never recommended anything; a 0 stamp means never
+	// heard about dst. Arrays are allocated on k's first recommendation and
+	// span the slot space. Stamps are pointer-free 8-byte offsets rather
+	// than time.Time values, so the collector never scans them.
+	recAbout    [][]time.Duration
+	origin      time.Time // fixed stamp origin, 1 ns before construction so no real stamp is 0
+	failovers   map[int]*failoverState
+	pendingAcks map[int]uint32 // server slot → row seq awaiting ack (reliable mode)
+	started     time.Time
+	stats       QuorumStats
 
 	// SelfRow returns the node's current measured link-state row (owned by
 	// the prober; read synchronously). Required.
@@ -214,7 +218,7 @@ func pairKey(a, b int) uint32 { return uint32(a)<<16 | uint32(b) }
 // NewQuorum creates a quorum router for the node at slot self of view.
 func NewQuorum(env transport.Env, cfg QuorumConfig, view *membership.ViewInfo, self int) (*Quorum, error) {
 	cfg.fill()
-	q := &Quorum{env: env, cfg: cfg}
+	q := &Quorum{env: env, cfg: cfg, origin: env.Now().Add(-time.Nanosecond)}
 	if err := q.SetView(view, self); err != nil {
 		return nil, err
 	}
@@ -259,11 +263,11 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		// moved — only the node itself can — or already replaced by a
 		// quarantine-expired reuse).
 		retired := make([]bool, n)
-		anyRetired := false
+		var gone []int
 		for s := 0; s < oldView.Slots(); s++ {
 			if oldView.Occupied(s) && view.IDAt(s) != oldView.IDAt(s) {
 				retired[s] = true
-				anyRetired = true
+				gone = append(gone, s)
 			}
 		}
 		q.table.Grow(n)
@@ -276,16 +280,12 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		for len(q.lastGen) < n {
 			q.lastGen = append(q.lastGen, 0)
 		}
-		if anyRetired {
-			for s, gone := range retired {
-				if !gone {
-					continue
-				}
+		if len(gone) > 0 {
+			for _, s := range gone {
 				q.table.RetireSlot(s)
 				if q.cfg.Asymmetric {
 					q.atable.RetireSlot(s)
 				}
-				delete(q.lastRecAbout, s)
 				delete(q.failovers, s)
 				delete(q.selfPairCache, s)
 			}
@@ -309,20 +309,7 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 				}
 			}
 		}
-		//lint:orderinvariant each rendezvous's silence array is grown and patched independently of visit order
-		for k, about := range q.lastRecAbout {
-			for len(about) < n {
-				about = append(about, time.Time{})
-			}
-			if anyRetired {
-				for s, gone := range retired {
-					if gone {
-						about[s] = time.Time{}
-					}
-				}
-			}
-			q.lastRecAbout[k] = about
-		}
+		q.growSilence(n, gone)
 		// Cached pair values involving retired slots self-invalidate: retiring
 		// bumped those slots' generations, so the next revalidation misses.
 		// Everything else stays warm — the point of stable slots.
@@ -338,7 +325,7 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 			q.atable = lsdb.NewAsymTable(n)
 		}
 		q.routes = make([]RouteEntry, n)
-		q.lastRecAbout = make(map[int][]time.Time)
+		q.recAbout = make([][]time.Duration, n)
 		q.pairCache = make(map[uint32]pairVal)
 		q.selfPairCache = make(map[int]selfPairVal)
 		q.lastGen = make([]uint32, n)
@@ -790,17 +777,18 @@ func (q *Quorum) HandleRecommendation(h wire.Header, body []byte) {
 		return
 	}
 	now := q.env.Now()
-	about := q.lastRecAbout[from]
+	stamp := now.Sub(q.origin)
+	about := q.recAbout[from]
 	if about == nil {
-		about = make([]time.Time, q.view.Slots())
-		q.lastRecAbout[from] = about
+		about = make([]time.Duration, q.view.Slots())
+		q.recAbout[from] = about
 	}
 	for _, e := range rec.Entries {
 		dst, ok := q.view.SlotOf(e.Dst)
 		if !ok || dst == q.self {
 			continue
 		}
-		about[dst] = now
+		about[dst] = stamp
 		hop := -1
 		if e.Hop != wire.NilNode {
 			if hs, ok := q.view.SlotOf(e.Hop); ok {
@@ -905,14 +893,48 @@ func (q *Quorum) defaultRendezvousLive(k, dst int, now time.Time) bool {
 	if k == dst {
 		return true
 	}
-	var last time.Time
-	if about := q.lastRecAbout[k]; about != nil {
-		last = about[dst]
+	return q.silence(k, dst, now) <= q.cfg.RemoteSilence // else remote rendezvous failure
+}
+
+// silence returns how long rendezvous k has gone without recommending a
+// route to dst: since its last recommendation about dst, or since the view
+// was installed (the startup grace) if it never made one.
+//
+//lint:allocfree
+func (q *Quorum) silence(k, dst int, now time.Time) time.Duration {
+	if about := q.recAbout[k]; about != nil && about[dst] != 0 {
+		return now.Sub(q.origin) - about[dst]
 	}
-	if last.IsZero() {
-		last = q.started // startup grace
+	return now.Sub(q.started)
+}
+
+// growSilence extends the silence stamps over a stable install's slot space
+// of n slots and forgets the retired slots, both as senders and as
+// destinations. Each array grows once, into one zeroed block of exactly n
+// stamps.
+func (q *Quorum) growSilence(n int, retired []int) {
+	if len(q.recAbout) < n {
+		grown := make([][]time.Duration, n)
+		copy(grown, q.recAbout)
+		q.recAbout = grown
 	}
-	return now.Sub(last) <= q.cfg.RemoteSilence // else remote rendezvous failure
+	for _, s := range retired {
+		q.recAbout[s] = nil
+	}
+	for k, about := range q.recAbout {
+		if about == nil {
+			continue
+		}
+		if len(about) < n {
+			grown := make([]time.Duration, n)
+			copy(grown, about)
+			about = grown
+			q.recAbout[k] = about
+		}
+		for _, s := range retired {
+			about[s] = 0
+		}
+	}
 }
 
 // destinationSeemsAlive scans the client rows for evidence that dst is up —

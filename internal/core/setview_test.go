@@ -77,8 +77,8 @@ func TestQuorumSetViewCarriesState(t *testing.T) {
 	}
 	q.routes[2] = RouteEntry{Hop: 1, Cost: 30, When: now, From: 1, Source: SourceRendezvous}
 	q.routes[3] = RouteEntry{Hop: 3, Cost: 40, When: now, From: -1, Source: SourceSelf}
-	q.lastRecAbout[1] = make([]time.Time, 4)
-	q.lastRecAbout[1][2] = now
+	q.recAbout[1] = make([]time.Duration, 4)
+	q.recAbout[1][2] = now.Sub(q.origin)
 
 	// ID 1 leaves (slot 1 becomes a tombstone) and ID 9 joins at slot 4.
 	next := applyDelta(t, old, []wire.Member{{ID: 9, Slot: 4}}, 1)
@@ -103,8 +103,8 @@ func TestQuorumSetViewCarriesState(t *testing.T) {
 	if q.table.Get(1) != nil {
 		t.Error("departed member's row survived")
 	}
-	if len(q.lastRecAbout) != 0 {
-		t.Errorf("lastRecAbout carried a departed rendezvous: %v", q.lastRecAbout)
+	if k := silenceSenders(q); k != 0 {
+		t.Errorf("silence stamps carried %d senders across a departed rendezvous: %v", k, q.recAbout)
 	}
 }
 
@@ -298,7 +298,7 @@ func TestSetViewSurvivorMoveRebuildsCold(t *testing.T) {
 		f.table.Put(s, lsdb.Row{Seq: 1, When: now, Entries: liveRow(n, s, 10)})
 		e := RouteEntry{Hop: s, Cost: 10, When: now, From: s, Source: SourceRendezvous}
 		q.routes[s], f.routes[s] = e, e
-		q.lastRecAbout[s] = make([]time.Time, n)
+		q.recAbout[s] = make([]time.Duration, n)
 		q.selfPairCache[s] = selfPairVal{hop: int32(s)}
 	}
 	q.pairCache[pairKey(1, 2)] = pairVal{hop: 3}
@@ -332,9 +332,9 @@ func TestSetViewSurvivorMoveRebuildsCold(t *testing.T) {
 			}
 		}
 	}
-	if len(q.lastRecAbout) != 0 || len(q.pairCache) != 0 || len(q.selfPairCache) != 0 || len(q.failovers) != 0 {
+	if silenceSenders(q) != 0 || len(q.pairCache) != 0 || len(q.selfPairCache) != 0 || len(q.failovers) != 0 {
 		t.Errorf("quorum slot-keyed state survived: rec=%d pairs=%d self=%d failovers=%d",
-			len(q.lastRecAbout), len(q.pairCache), len(q.selfPairCache), len(q.failovers))
+			silenceSenders(q), len(q.pairCache), len(q.selfPairCache), len(q.failovers))
 	}
 	if f.lastValid {
 		t.Error("fullmesh kept its incremental snapshot across a cold rebuild")

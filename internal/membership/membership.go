@@ -58,7 +58,7 @@ const (
 
 // ViewInfo is the client-side digest of a membership view: the slot-indexed
 // member assignment used to populate the routing grid, plus the occupied
-// member list and the ID → slot map.
+// member list and the ID → slot index.
 //
 // Every view is slot-addressed: each member holds the slot it keeps for its
 // lifetime, and departed slots are tombstones (ID == wire.NilNode) that stay
@@ -68,9 +68,17 @@ const (
 type ViewInfo struct {
 	epoch   uint32
 	version uint32
-	slots   []wire.Member       // slot-indexed; tombstones hold ID == wire.NilNode
-	members []wire.Member       // occupied members in slot order
-	slotOf  map[wire.NodeID]int // ID → slot
+	slots   []wire.Member // slot-indexed; tombstones hold ID == wire.NilNode
+	members []wire.Member // occupied members in slot order
+	// index maps ID → slot: an open-addressed table with linear probing,
+	// sized by the slot space (a power of two of at least 2·Slots entries,
+	// so a probe meets an empty entry within a few steps). Each entry packs
+	// (ID+1)<<16 | slot; 0 is empty. wire.NilNode (0xFFFF) is never stored,
+	// so ID+1 fits in 16 bits, and slots are 16-bit on the wire. A dense
+	// array indexed by ID would cost 128–256 KB per view: member IDs only
+	// grow under churn, and coordinator IDs sit at 0xFFFx.
+	index []uint32
+	shift uint8 // 32 − log2(len(index)), the hash's right shift
 }
 
 // NewViewInfo builds a ViewInfo from a raw wire view. Member slots are taken
@@ -104,19 +112,25 @@ func NewViewInfo(v wire.View) (*ViewInfo, error) {
 // newView builds a ViewInfo from a slot-indexed member array (tombstones
 // hold wire.NilNode). Duplicate member IDs are rejected.
 func newView(epoch, version uint32, slots []wire.Member) (*ViewInfo, error) {
-	slotOf := make(map[wire.NodeID]int, len(slots))
+	size, shift := 1, uint8(32)
+	for size < 2*len(slots) {
+		size <<= 1
+		shift--
+	}
+	index := make([]uint32, size)
 	members := make([]wire.Member, 0, len(slots))
 	for s, m := range slots {
 		if m.ID == wire.NilNode {
 			continue
 		}
-		if _, dup := slotOf[m.ID]; dup {
+		i, dup := find(index, shift, m.ID)
+		if dup {
 			return nil, fmt.Errorf("membership: duplicate ID %d in view %d", m.ID, version)
 		}
-		slotOf[m.ID] = s
+		index[i] = (uint32(m.ID)+1)<<16 | uint32(s)
 		members = append(members, m)
 	}
-	return &ViewInfo{epoch: epoch, version: version, slots: slots, members: members, slotOf: slotOf}, nil
+	return &ViewInfo{epoch: epoch, version: version, slots: slots, members: members, index: index, shift: shift}, nil
 }
 
 // NewStaticView builds a ViewInfo directly from node IDs, for emulations and
@@ -166,10 +180,37 @@ func (v *ViewInfo) Members() []wire.Member { return v.members }
 // tombstone.
 func (v *ViewInfo) IDAt(slot int) wire.NodeID { return v.slots[slot].ID }
 
-// SlotOf returns the grid slot of a member ID.
+// SlotOf returns the grid slot of a member ID; false for wire.NilNode and
+// for IDs not in the view.
+//
+//lint:allocfree
 func (v *ViewInfo) SlotOf(id wire.NodeID) (int, bool) {
-	s, ok := v.slotOf[id]
-	return s, ok
+	i, ok := find(v.index, v.shift, id)
+	if !ok {
+		return 0, false
+	}
+	return int(v.index[i] & 0xFFFF), true
+}
+
+// find probes index for id: the position of its entry and true, or the
+// empty position where it would go and false. The index always holds an
+// empty entry, so the probe ends. wire.NilNode is never found: its key,
+// 0xFFFF+1, does not fit an entry's 16-bit ID field.
+//
+//lint:allocfree
+func find(index []uint32, shift uint8, id wire.NodeID) (uint32, bool) {
+	key := uint32(id) + 1
+	mask := uint32(len(index) - 1)
+	// The first probe is the ID's Fibonacci hash: the top log2(len(index))
+	// bits of ID × 2³²/φ.
+	for i := uint32(id) * 0x9E3779B1 >> shift; ; i = (i + 1) & mask {
+		switch index[i] >> 16 {
+		case 0:
+			return i, false
+		case key:
+			return i, true
+		}
+	}
 }
 
 // OccupiedMask returns the per-slot occupancy of the view, or nil when every
@@ -200,7 +241,7 @@ func StableExtension(old, next *ViewInfo, self wire.NodeID) bool {
 		if m.ID == wire.NilNode || m.ID == self {
 			continue
 		}
-		if ns, ok := next.slotOf[m.ID]; ok && ns != s {
+		if ns, ok := next.SlotOf(m.ID); ok && ns != s {
 			return false
 		}
 	}
@@ -220,7 +261,7 @@ func (v *ViewInfo) ApplyDelta(d wire.ViewDelta) (*ViewInfo, error) {
 	}
 	slots := append([]wire.Member(nil), v.slots...)
 	for _, id := range d.Removes {
-		s, ok := v.slotOf[id]
+		s, ok := v.SlotOf(id)
 		if !ok {
 			return nil, fmt.Errorf("membership: delta removes unknown ID %d", id)
 		}
