@@ -321,12 +321,23 @@ func BenchmarkAblationStaleness(b *testing.B) {
 // Micro-benchmarks of the hot paths.
 // ---------------------------------------------------------------------------
 
-// BenchmarkGridConstruction times building the quorum layout at 1024 nodes.
+// gridSink keeps the benchmarked grid constructions live.
+var gridSink *grid.Grid
+
+// BenchmarkGridConstruction times building the dense quorum layout, which a
+// quorum node pays whenever a view changes the slot count.
 func BenchmarkGridConstruction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := grid.New(1024); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{300, 1024, 5000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := grid.New(n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				gridSink = g
+			}
+		})
 	}
 }
 
@@ -683,13 +694,72 @@ func benchSlotView(b *testing.B, version uint32, slots int, dead ...int) *member
 }
 
 // BenchmarkViewChange records the per-membership-change cost: what one
-// join/leave costs a node whose link-state table is fully populated. Over n+1
-// slots the last one is alternately occupied and tombstoned, so the join
-// fills one slot and the leave cuts one slot's column (O(rows + n)), and
-// each iteration's join+leave round trip returns state to its starting
-// shape.
+// view install costs a node whose link-state table is fully populated.
+//
+// The stable rows keep the slot count fixed: over n+1 slots the last one is
+// alternately occupied and tombstoned, so the join reuses a tombstone and
+// the leave cuts one slot's column (O(rows + n)), and each iteration's
+// join+leave round trip returns state to its starting shape. The quorum
+// router re-masks its cached dense grid; it never rebuilds it.
+//
+// The append row times the install a churning fleet pays instead: a joiner
+// appends one occupied slot beside eight quarantined tombstones, so every
+// install grows the slot space and builds a new dense grid. It walks a
+// ladder of pre-built views, each one slot longer than the last, and
+// rebuilds the router off the timer when the ladder runs out.
 func BenchmarkViewChange(b *testing.B) {
 	for _, n := range []int{500, 2000, 5000} {
+		b.Run(fmt.Sprintf("quorum/n=%d/append", n), func(b *testing.B) {
+			const rungs = 16
+			dead := make([]int, 8)
+			for i := range dead {
+				dead[i] = (2*i + 1) * n / 16
+			}
+			ladder := make([]*membership.ViewInfo, rungs+1)
+			for i := range ladder {
+				ladder[i] = benchSlotView(b, uint32(i+1), n+i, dead...)
+			}
+			self := benchRow(n, 0, 0)
+			var q *core.Quorum
+			var extends, remaps uint64
+			start := func() {
+				if q != nil {
+					extends += q.Stats().ViewExtends
+					remaps += q.Stats().ViewRemaps
+				}
+				env := benchEnv()
+				env.SetLocalID(1)
+				var err error
+				if q, err = core.NewQuorum(env, core.QuorumConfig{}, ladder[0], 0); err != nil {
+					b.Fatal(err)
+				}
+				q.SelfRow = func() []wire.LinkEntry { return self }
+				q.LinkAlive = func(int) bool { return true }
+				for _, c := range q.Grid().Clients(0) {
+					q.Table().Put(c, lsdb.Row{Seq: 1, When: env.Now(), Entries: benchRow(n, c, 0)})
+				}
+			}
+			start()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rung := i%rungs + 1
+				if rung == 1 && i > 0 {
+					b.StopTimer()
+					start()
+					b.StartTimer()
+				}
+				if err := q.SetView(ladder[rung], 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			extends += q.Stats().ViewExtends
+			remaps += q.Stats().ViewRemaps
+			if extends != uint64(b.N) || remaps != 0 {
+				b.Fatalf("append bench: extends=%d remaps=%d, want %d/0", extends, remaps, b.N)
+			}
+		})
 		b.Run(fmt.Sprintf("quorum/n=%d/stable", n), func(b *testing.B) {
 			vLeft := benchSlotView(b, 1, n+1, n)
 			vJoin := benchSlotView(b, 2, n+1)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -133,10 +134,9 @@ type Quorum struct {
 	cfg  QuorumConfig
 	view *membership.ViewInfo
 	g    *grid.Grid
-	// dense caches the unmasked grid for the current slot count; successive
-	// views over the same slot space Remask it instead of rebuilding, so a
-	// stable extension's grid cost is proportional to the tombstone blast
-	// radius, not to n·√n.
+	// dense caches the unmasked grid for the current slot count; views over
+	// the same slot space Remask it. A view that changes the slot count (a
+	// join that appends a slot) builds a new one.
 	dense *grid.Grid
 	self  int
 	seq   uint32
@@ -145,7 +145,10 @@ type Quorum struct {
 	atable   *lsdb.AsymTable // directional rows (asymmetric mode)
 	routes   []RouteEntry    // per destination slot
 	servers  []int           // default rendezvous servers (grid row + column)
-	defaults [][]int         // per destination: the common rendezvous set for (self, dst)
+	defaults [][]int         // per destination: the common rendezvous set for (self, dst), a capped sub-slice of defaultsBuf
+	// defaultsBuf holds every defaults set back to back; it is refilled in
+	// place on each install, since no reader keeps a set past one.
+	defaultsBuf []int
 
 	// recAbout[k][dst] is when server k last recommended a route to dst, as
 	// an offset from origin; used for remote rendezvous failure detection.
@@ -333,12 +336,25 @@ func (q *Quorum) SetView(view *membership.ViewInfo, self int) error {
 		q.failovers = make(map[int]*failoverState)
 	}
 	q.servers = g.Servers(self)
-	q.defaults = make([][]int, n)
-	for dst := 0; dst < n; dst++ {
+	// The (self, dst) common rendezvous sets, back to back in one reused
+	// buffer: the first pass appends them and records each one's length, the
+	// second slices the final buffer, which appending may have moved.
+	q.defaults = slices.Grow(q.defaults[:0], n)[:n]
+	buf := q.defaultsBuf[:0]
+	for dst := range q.defaults {
+		start := len(buf)
 		if dst != self && view.Occupied(dst) {
-			q.defaults[dst] = g.Common(self, dst)
+			buf = g.AppendCommon(buf, self, dst)
 		}
+		q.defaults[dst] = buf[start:]
 	}
+	end := 0
+	for dst, d := range q.defaults {
+		start := end
+		end += len(d)
+		q.defaults[dst] = buf[start:end:end]
+	}
+	q.defaultsBuf = buf
 	q.pendingAcks = make(map[int]uint32)
 	q.started = q.env.Now()
 	return nil

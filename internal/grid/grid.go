@@ -24,6 +24,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -39,9 +40,17 @@ type Grid struct {
 	// or nil for the dense construction where every slot holds a node.
 	occupied []bool
 
-	// servers[i] is the sorted rendezvous server set of slot i (its row and
-	// column, plus blank-compensation extras; never includes i itself).
-	servers [][]int
+	// sets holds every slot's sorted rendezvous server set (its row and
+	// column, plus blank-compensation extras; never the slot itself) in one
+	// block: the first n+1 entries are offsets, and slot i's set is
+	// sets[sets[i]:sets[i+1]].
+	sets []int
+
+	// On a masked grid (Remask), sets holds only the slots in some
+	// tombstone's blast radius, those with own[i]; every other slot shares
+	// the set of the dense grid it was derived from, dense.
+	dense *Grid
+	own   []bool
 }
 
 // New constructs the grid quorum for n ≥ 1 nodes.
@@ -77,11 +86,81 @@ func New(n int) (*Grid, error) {
 		return nil, fmt.Errorf("grid: internal error, empty last row for n=%d", n)
 	}
 
-	g.servers = make([][]int, n)
-	for i := 0; i < n; i++ {
-		g.servers[i] = g.buildServers(i)
+	size := n + 1
+	for s := 0; s < n; s++ {
+		size += g.serversLen(s)
+	}
+	g.sets = make([]int, n+1, size)
+	g.sets[0] = n + 1
+	for s := 0; s < n; s++ {
+		g.sets = g.appendServers(g.sets, s)
+		g.sets[s+1] = len(g.sets)
 	}
 	return g, nil
+}
+
+// serversLen is the size of slot's dense server set: its column and row
+// mates plus its blank-compensation extras.
+func (g *Grid) serversLen(slot int) int {
+	r, c := slot/g.cols, slot%g.cols
+	k, last := g.lastRow, g.rows-1
+	colLen, rowLen := g.rows, g.cols
+	if c >= k {
+		colLen--
+	}
+	if r == last {
+		rowLen = k
+	}
+	l := colLen - 1 + rowLen - 1
+	if k < g.cols {
+		if r == last {
+			l += g.cols - k
+		} else if c >= k && r < k {
+			l++
+		}
+	}
+	return l
+}
+
+// appendServers appends slot's dense server set to dst in ascending order,
+// which the row-major layout gives without sorting: the column mates above
+// the slot, its row mates, the column mates below. Blank compensation (§3,
+// "Non perfect-square grids"), 0-indexed: with k occupied slots in the last
+// row, the bottom-row slot in column c < k is paired with row c's tail
+// (c, j) for k ≤ j < cols, which sorts right after its column mate in row
+// c; a tail-column slot in row r < k gets the bottom-row slot (rows−1, r),
+// which sorts last.
+func (g *Grid) appendServers(dst []int, slot int) []int {
+	r, c := slot/g.cols, slot%g.cols
+	k, last := g.lastRow, g.rows-1
+	tail := k < g.cols
+	for rr := 0; rr < r; rr++ {
+		dst = append(dst, rr*g.cols+c)
+		if tail && r == last && rr == c {
+			for j := k; j < g.cols; j++ {
+				dst = append(dst, c*g.cols+j)
+			}
+		}
+	}
+	rowLen, colLen := g.cols, g.rows
+	if r == last {
+		rowLen = k
+	}
+	if c >= k {
+		colLen--
+	}
+	for cc := 0; cc < rowLen; cc++ {
+		if cc != c {
+			dst = append(dst, r*g.cols+cc)
+		}
+	}
+	for rr := r + 1; rr < colLen; rr++ {
+		dst = append(dst, rr*g.cols+c)
+	}
+	if tail && c >= k && r < k {
+		dst = append(dst, last*g.cols+r)
+	}
+	return dst
 }
 
 // NewMasked constructs the grid quorum over an n-slot space in which only
@@ -90,8 +169,8 @@ func New(n int) (*Grid, error) {
 // slot true) yields exactly New(n), so dense views pay nothing.
 //
 // The layout (rows, columns, blank compensation) is computed over the full
-// n-slot space — slot positions never move when the mask changes, which is
-// what makes one join or leave an O(1) perturbation. Tombstoned rendezvous
+// n-slot space — slot positions never move when the mask changes, so a
+// tombstone perturbs only its own blast radius. Tombstoned rendezvous
 // servers are patched by deputy substitution: a dead server that a node
 // relied on to reach a column is replaced by that column's first occupied
 // slot, and one relied on to reach a row by that row's first occupied slot.
@@ -109,12 +188,11 @@ func NewMasked(n int, occupied []bool) (*Grid, error) {
 
 // Remask derives a masked grid from a dense one without rebuilding it: only
 // the slots a tombstone can have perturbed — the dead slot's row, column,
-// blank-compensation partners, and line deputies — get fresh server sets;
-// every other slot shares the dense grid's slice. With d tombstones the cost
-// is O(d·n) instead of the dense construction's O(n·√n), which is what keeps
-// a single join or leave O(1) per member at the grid layer too. The receiver
-// must be dense (Remask of a Remask would compound substitutions); a nil or
-// all-true mask returns the receiver unchanged.
+// blank-compensation partners, and line deputies — get fresh server sets,
+// written in slot order into one block as New writes its own; every other
+// slot shares the dense grid's set. The cost is linear in the size of the
+// fresh sets. The receiver must be dense (Remask of a Remask would compound
+// substitutions); a nil or all-true mask returns the receiver unchanged.
 func (g *Grid) Remask(occupied []bool) (*Grid, error) {
 	if g.occupied != nil {
 		return nil, fmt.Errorf("grid: Remask requires a dense grid")
@@ -125,13 +203,7 @@ func (g *Grid) Remask(occupied []bool) (*Grid, error) {
 	if len(occupied) != g.n {
 		return nil, fmt.Errorf("grid: mask length %d != %d slots", len(occupied), g.n)
 	}
-	var dead []int
-	for s, o := range occupied {
-		if !o {
-			dead = append(dead, s)
-		}
-	}
-	if len(dead) == 0 {
+	if !slices.Contains(occupied, false) {
 		return g, nil
 	}
 	// Deputies: the first occupied slot of each column and row, or -1 when a
@@ -161,128 +233,70 @@ func (g *Grid) Remask(occupied []bool) (*Grid, error) {
 	// dense grid's. Every substitution an occupied slot performs targets the
 	// deputy of a dead slot's line, and every slot performing one sits in a
 	// dead slot's row/column or is its compensation partner — so rebuilding
-	// exactly these (with the symmetrizing pass below restricted to them)
-	// reproduces the full construction.
+	// exactly these reproduces the full construction.
 	touched := make([]bool, g.n)
-	mark := func(s int) {
-		if s >= 0 {
+	for d, o := range occupied {
+		if o {
+			continue
+		}
+		touched[d] = true
+		for _, s := range g.Servers(d) {
+			touched[s] = true
+		}
+		r, c := g.Position(d)
+		if s := colDep[c]; s >= 0 {
+			touched[s] = true
+		}
+		if s := rowDep[r]; s >= 0 {
 			touched[s] = true
 		}
 	}
-	for _, d := range dead {
-		r, c := g.Position(d)
-		mark(d)
-		for cc := 0; cc < g.cols; cc++ {
-			if s, ok := g.SlotAt(r, cc); ok {
-				mark(s)
-			}
-		}
-		for rr := 0; rr < g.rows; rr++ {
-			if s, ok := g.SlotAt(rr, c); ok {
-				mark(s)
-			}
-		}
-		mark(colDep[c])
-		mark(rowDep[r])
-		if k := g.lastRow; k < g.cols {
-			if r == g.rows-1 {
-				for j := k; j < g.cols; j++ {
-					if s, ok := g.SlotAt(c, j); ok {
-						mark(s)
-					}
-				}
-			}
-			if c >= k && r < k {
-				if s, ok := g.SlotAt(g.rows-1, r); ok {
-					mark(s)
-				}
-			}
+	// A touched slot x's masked set is the union of
+	//   - its occupied dense partners,
+	//   - the deputies it substitutes for its dead partners, and
+	//   - the slots whose substitutions name x (only deputies have any),
+	// the last two making the relation symmetric. The reverse substitutions
+	// are bucketed by deputy with a counting sort over the touched slots in
+	// ascending order, so each bucket comes out sorted: rev[t]..rev[t+1]
+	// bounds deputy t's bucket in revList.
+	rev := make([]int, g.n+2)
+	g.eachSubstitution(occupied, touched, colDep, rowDep, func(y, t int) { rev[t+2]++ })
+	for i := 2; i < len(rev); i++ {
+		rev[i] += rev[i-1]
+	}
+	revList := make([]int, rev[g.n+1])
+	g.eachSubstitution(occupied, touched, colDep, rowDep, func(y, t int) {
+		revList[rev[t+1]] = y
+		rev[t+1]++
+	})
+	// Every dead partner yields at most one substitute, so a touched slot's
+	// set is at most its dense size plus its reverse bucket; the bound is
+	// loose only by coinciding substitutes.
+	size := g.n + 1
+	for s, o := range occupied {
+		if o && touched[s] {
+			size += len(g.Servers(s)) + rev[s+1] - rev[s]
 		}
 	}
-	sets := make([][]int, g.n)
-	add := func(a, b int) {
-		if b < 0 || a == b || !occupied[b] {
-			return
-		}
-		if touched[a] {
-			sets[a] = append(sets[a], b)
-		}
-		if touched[b] {
-			sets[b] = append(sets[b], a)
-		}
-	}
-	for x := 0; x < g.n; x++ {
-		if !touched[x] || !occupied[x] {
-			continue
-		}
-		r, c := g.Position(x)
-		// Row mates reach their column: a dead mate is replaced by that
-		// column's deputy.
-		for cc := 0; cc < g.cols; cc++ {
-			if s, ok := g.SlotAt(r, cc); ok && s != x {
-				if occupied[s] {
-					add(x, s)
-				} else {
-					add(x, colDep[cc])
-				}
-			}
-		}
-		// Column mates reach their row: a dead mate is replaced by that
-		// row's deputy.
-		for rr := 0; rr < g.rows; rr++ {
-			if s, ok := g.SlotAt(rr, c); ok && s != x {
-				if occupied[s] {
-					add(x, s)
-				} else {
-					add(x, rowDep[rr])
-				}
-			}
-		}
-		// Blank compensation, with the same substitution rules: the tail
-		// extras reach their column, the bottom-row extra reaches its row.
-		if k := g.lastRow; k < g.cols {
-			if r == g.rows-1 {
-				for j := k; j < g.cols; j++ {
-					if s, ok := g.SlotAt(c, j); ok {
-						if occupied[s] {
-							add(x, s)
-						} else {
-							add(x, colDep[j])
-						}
-					}
-				}
-			}
-			if c >= k && r < k {
-				if s, ok := g.SlotAt(g.rows-1, r); ok {
-					if occupied[s] {
-						add(x, s)
-					} else {
-						add(x, rowDep[g.rows-1])
-					}
-				}
-			}
-		}
-	}
-	servers := make([][]int, g.n)
-	for s := 0; s < g.n; s++ {
+	sets := make([]int, g.n+1, size)
+	sets[0] = g.n + 1
+	var subs []int
+	for x, o := range occupied {
 		switch {
-		case !occupied[s]:
-			// tombstone: empty server set
-		case touched[s]:
-			list := sets[s]
-			sort.Ints(list)
-			out := list[:0]
-			prev := -1
-			for _, v := range list {
-				if v != prev {
-					out = append(out, v)
-					prev = v
+		case !o, !touched[x]:
+			// tombstone (empty server set) or shared with the dense grid
+		default:
+			subs = subs[:0]
+			for _, d := range g.Servers(x) {
+				if !occupied[d] {
+					if t := g.substitute(x, d, colDep, rowDep); t >= 0 {
+						subs = insertSorted(subs, t)
+					}
 				}
 			}
-			servers[s] = out
-		default:
-			servers[s] = g.servers[s]
+			sets = mergeMasked(sets, x, g.Servers(x), occupied, subs, revList[rev[x]:rev[x+1]])
 		}
+		sets[x+1] = len(sets)
 	}
 	return &Grid{
 		n:        g.n,
@@ -290,51 +304,95 @@ func (g *Grid) Remask(occupied []bool) (*Grid, error) {
 		cols:     g.cols,
 		lastRow:  g.lastRow,
 		occupied: append([]bool(nil), occupied...),
-		servers:  servers,
+		sets:     sets[:len(sets):len(sets)],
+		dense:    g,
+		own:      touched,
 	}, nil
 }
 
-// buildServers computes the rendezvous server set for one slot.
-func (g *Grid) buildServers(slot int) []int {
-	r, c := g.Position(slot)
-	set := make(map[int]struct{}, 2*g.rows)
-	// Row.
-	for cc := 0; cc < g.cols; cc++ {
-		if s, ok := g.SlotAt(r, cc); ok && s != slot {
-			set[s] = struct{}{}
-		}
+// substitute returns the deputy that stands in for y's dead dense partner d:
+// the deputy of d's column when y reaches d along a row (a row mate, or a
+// bottom-row slot's tail extra), otherwise the deputy of d's row (a column
+// mate, or a tail-column slot's bottom-row extra). It is -1 when that whole
+// line is tombstoned.
+func (g *Grid) substitute(y, d int, colDep, rowDep []int) int {
+	ry, cy := y/g.cols, y%g.cols
+	rd, cd := d/g.cols, d%g.cols
+	if rd == ry || (cd != cy && ry == g.rows-1) {
+		return colDep[cd]
 	}
-	// Column.
-	for rr := 0; rr < g.rows; rr++ {
-		if s, ok := g.SlotAt(rr, c); ok && s != slot {
-			set[s] = struct{}{}
+	return rowDep[rd]
+}
+
+// eachSubstitution calls f(y, t) for every deputy t that an occupied touched
+// slot y substitutes for one of its dead partners, y ascending.
+func (g *Grid) eachSubstitution(occupied, touched []bool, colDep, rowDep []int, f func(y, t int)) {
+	for y, o := range occupied {
+		if !o || !touched[y] {
+			continue
 		}
-	}
-	// Blank compensation (§3, "Non perfect-square grids"), 0-indexed: with k
-	// occupied slots in the last row, the bottom-row node in column c0 < k is
-	// paired with the nodes (c0, j) for k ≤ j < cols, symmetrically.
-	if k := g.lastRow; k < g.cols {
-		if r == g.rows-1 {
-			// Bottom-row node at column c: extras are row c's tail.
-			for j := k; j < g.cols; j++ {
-				if s, ok := g.SlotAt(c, j); ok {
-					set[s] = struct{}{}
+		for _, d := range g.Servers(y) {
+			if !occupied[d] {
+				if t := g.substitute(y, d, colDep, rowDep); t >= 0 {
+					f(y, t)
 				}
 			}
 		}
-		if c >= k && r < k {
-			// Tail-column node in row r < k: extra is bottom-row node (rows-1, r).
-			if s, ok := g.SlotAt(g.rows-1, r); ok {
-				set[s] = struct{}{}
-			}
+	}
+}
+
+// insertSorted inserts v into the ascending list s unless it is present.
+func insertSorted(s []int, v int) []int {
+	i := len(s)
+	for i > 0 && s[i-1] > v {
+		i--
+	}
+	if i > 0 && s[i-1] == v {
+		return s
+	}
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// mergeMasked appends slot x's masked server set to dst: the union of its
+// occupied dense partners, its substitutes and its reverse substitutions,
+// three ascending lists merged without duplicates and without x itself.
+func mergeMasked(dst []int, x int, dense []int, occupied []bool, subs, rev []int) []int {
+	last := -1
+	i, j, k := 0, 0, 0
+	for {
+		for i < len(dense) && !occupied[dense[i]] {
+			i++
+		}
+		v := -1
+		if i < len(dense) {
+			v = dense[i]
+		}
+		if j < len(subs) && (v < 0 || subs[j] < v) {
+			v = subs[j]
+		}
+		if k < len(rev) && (v < 0 || rev[k] < v) {
+			v = rev[k]
+		}
+		if v < 0 {
+			return dst
+		}
+		if i < len(dense) && dense[i] == v {
+			i++
+		}
+		if j < len(subs) && subs[j] == v {
+			j++
+		}
+		for k < len(rev) && rev[k] == v {
+			k++
+		}
+		if v != last && v != x {
+			dst = append(dst, v)
+			last = v
 		}
 	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // N returns the number of nodes.
@@ -390,7 +448,11 @@ func (g *Grid) Servers(slot int) []int {
 	if slot < 0 || slot >= g.n {
 		panic(fmt.Sprintf("grid: slot %d out of range [0,%d)", slot, g.n))
 	}
-	return g.servers[slot]
+	if g.dense != nil && !g.own[slot] {
+		return g.dense.Servers(slot)
+	}
+	a, b := g.sets[slot], g.sets[slot+1]
+	return g.sets[a:b:b]
 }
 
 // Clients returns the slots for which slot acts as a rendezvous server. For
@@ -412,31 +474,41 @@ func (g *Grid) IsServerOf(server, client int) bool {
 // through their endpoints — each receives the other's link state directly).
 // For a == b it returns nil. The two-intersection property guarantees
 // len ≥ 2 for all pairs when n ≥ 4.
-func (g *Grid) Common(a, b int) []int {
+func (g *Grid) Common(a, b int) []int { return g.AppendCommon(nil, a, b) }
+
+// AppendCommon appends Common(a, b) to dst and returns the extended slice.
+// It merges the two sorted server sets and places the endpoints in order as
+// it goes, so it allocates only if dst must grow.
+func (g *Grid) AppendCommon(dst []int, a, b int) []int {
 	if a == b {
-		return nil
+		return dst
 	}
 	sa, sb := g.Servers(a), g.Servers(b)
-	var out []int
+	ends := [2]int{min(a, b), max(a, b)}
+	e := 0 // endpoints already placed; both count as placed unless they rendezvous
+	if !g.IsServerOf(b, a) {
+		e = len(ends)
+	}
 	i, j := 0, 0
 	for i < len(sa) && j < len(sb) {
 		switch {
-		case sa[i] == sb[j]:
-			out = append(out, sa[i])
-			i++
-			j++
 		case sa[i] < sb[j]:
 			i++
+		case sa[i] > sb[j]:
+			j++
 		default:
+			for ; e < len(ends) && ends[e] < sa[i]; e++ {
+				dst = append(dst, ends[e])
+			}
+			dst = append(dst, sa[i])
+			i++
 			j++
 		}
 	}
-	// Endpoints acting as their own rendezvous.
-	if g.IsServerOf(b, a) {
-		out = append(out, a, b)
+	for ; e < len(ends); e++ {
+		dst = append(dst, ends[e])
 	}
-	sort.Ints(out)
-	return out
+	return dst
 }
 
 // FailoverCandidates returns the slots a node may recruit as failover
@@ -450,10 +522,8 @@ func (g *Grid) FailoverCandidates(dst int) []int { return g.Servers(dst) }
 // shows this is at most 2√n even with blank compensation.
 func (g *Grid) MaxLoad() int {
 	m := 0
-	for _, s := range g.servers {
-		if len(s) > m {
-			m = len(s)
-		}
+	for s := 0; s < g.n; s++ {
+		m = max(m, len(g.Servers(s)))
 	}
 	return m
 }
@@ -477,12 +547,12 @@ func (g *Grid) VerifyInvariants() error {
 	// Symmetry: j ∈ Servers(i) ⟺ i ∈ Servers(j); tombstones serve no one.
 	for i := 0; i < g.n; i++ {
 		if !g.OccupiedSlot(i) {
-			if len(g.servers[i]) != 0 {
-				return fmt.Errorf("grid: tombstoned slot %d has %d servers", i, len(g.servers[i]))
+			if len(g.Servers(i)) != 0 {
+				return fmt.Errorf("grid: tombstoned slot %d has %d servers", i, len(g.Servers(i)))
 			}
 			continue
 		}
-		for _, j := range g.servers[i] {
+		for _, j := range g.Servers(i) {
 			if !g.OccupiedSlot(j) {
 				return fmt.Errorf("grid: slot %d names tombstoned server %d", i, j)
 			}

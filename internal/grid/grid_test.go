@@ -2,6 +2,7 @@ package grid
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -472,12 +473,150 @@ func referenceMasked(t *testing.T, n int, occupied []bool) [][]int {
 	return servers
 }
 
+// referenceServers is the map-based oracle for New: it collects slot's row,
+// column and blank-compensation partners into a set and sorts it.
+func referenceServers(g *Grid, slot int) []int {
+	r, c := g.Position(slot)
+	set := make(map[int]struct{}, 2*g.rows)
+	// Row.
+	for cc := 0; cc < g.cols; cc++ {
+		if s, ok := g.SlotAt(r, cc); ok && s != slot {
+			set[s] = struct{}{}
+		}
+	}
+	// Column.
+	for rr := 0; rr < g.rows; rr++ {
+		if s, ok := g.SlotAt(rr, c); ok && s != slot {
+			set[s] = struct{}{}
+		}
+	}
+	// Blank compensation (§3, "Non perfect-square grids"), 0-indexed: with k
+	// occupied slots in the last row, the bottom-row node in column c0 < k is
+	// paired with the nodes (c0, j) for k ≤ j < cols, symmetrically.
+	if k := g.lastRow; k < g.cols {
+		if r == g.rows-1 {
+			// Bottom-row node at column c: extras are row c's tail.
+			for j := k; j < g.cols; j++ {
+				if s, ok := g.SlotAt(c, j); ok {
+					set[s] = struct{}{}
+				}
+			}
+		}
+		if c >= k && r < k {
+			// Tail-column node in row r < k: extra is bottom-row node (rows-1, r).
+			if s, ok := g.SlotAt(g.rows-1, r); ok {
+				set[s] = struct{}{}
+			}
+		}
+	}
+	out := make([]int, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func TestNewMatchesReference(t *testing.T) {
+	// New emits each set in order straight into one block; it must agree with
+	// the map-and-sort oracle at every slot, and no set may have spare
+	// capacity a caller's append could spill into the next slot's set.
+	sizes := []int{2025, 2026, 4999, 5000}
+	for n := 1; n <= 1100; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		g, err := New(n)
+		if err != nil {
+			t.Fatalf("New(%d): %v", n, err)
+		}
+		for s := 0; s < n; s++ {
+			got := g.Servers(s)
+			if want := referenceServers(g, s); !equalInts(got, want) {
+				t.Fatalf("n=%d slot %d: Servers %v != reference %v", n, s, got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("n=%d slot %d: cap %d != len %d", n, s, cap(got), len(got))
+			}
+		}
+	}
+}
+
+// referenceCommon is the merge-then-sort oracle for Common.
+func referenceCommon(g *Grid, a, b int) []int {
+	if a == b {
+		return nil
+	}
+	sa, sb := g.Servers(a), g.Servers(b)
+	var out []int
+	i, j := 0, 0
+	for i < len(sa) && j < len(sb) {
+		switch {
+		case sa[i] == sb[j]:
+			out = append(out, sa[i])
+			i++
+			j++
+		case sa[i] < sb[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	if g.IsServerOf(b, a) {
+		out = append(out, a, b)
+	}
+	sort.Ints(out)
+	return out
+}
+
+func TestAppendCommonMatchesReference(t *testing.T) {
+	// Every ordered pair, dense and with every third slot tombstoned; the
+	// appended set must follow whatever dst already holds.
+	sizes := []int{300}
+	for n := 1; n <= 40; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		dense, err := New(n)
+		if err != nil {
+			t.Fatalf("New(%d): %v", n, err)
+		}
+		occupied := make([]bool, n)
+		for s := range occupied {
+			occupied[s] = s%3 != 1
+		}
+		masked, err := dense.Remask(occupied)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for _, g := range []*Grid{dense, masked} {
+			buf := []int{-7}
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					want := referenceCommon(g, a, b)
+					buf = g.AppendCommon(buf[:1], a, b)
+					if buf[0] != -7 || !equalInts(buf[1:], want) {
+						t.Fatalf("n=%d masked=%v (%d,%d): AppendCommon %v, want [-7] + %v",
+							n, g != dense, a, b, buf, want)
+					}
+					if c := g.Common(a, b); !equalInts(c, want) || (c == nil) != (want == nil) {
+						t.Fatalf("n=%d masked=%v (%d,%d): Common %v, want %v", n, g != dense, a, b, c, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRemaskMatchesFullRebuild(t *testing.T) {
 	// Remask only recomputes slots in the blast radius of a tombstone and
-	// aliases the dense set everywhere else; this must be indistinguishable
+	// shares the dense set everywhere else; this must be indistinguishable
 	// from rebuilding every slot. Masks cover single holes, dense clusters,
-	// whole leading lines, alternating stripes, and near-total death.
-	for _, n := range []int{2, 3, 5, 7, 12, 17, 20, 30, 50, 101, 144} {
+	// whole leading lines, alternating stripes, near-total death, and
+	// seeded random masks from a few scattered tombstones to most slots
+	// dead, one of them with a wholly tombstoned column (its deputy is -1).
+	rng := rand.New(rand.NewSource(1))
+	for n := 2; n <= 160; n++ {
 		masks := [][]int{
 			{0},
 			{n - 1},
@@ -493,6 +632,22 @@ func TestRemaskMatchesFullRebuild(t *testing.T) {
 			most = append(most, s)
 		}
 		masks = append(masks, stripe, most)
+		dense, _ := New(n)
+		cols := dense.Cols()
+		for _, p := range []float64{0.03, 0.15, 0.5, 0.9} {
+			var dead []int
+			for s := 0; s < n; s++ {
+				if rng.Float64() < p {
+					dead = append(dead, s)
+				}
+			}
+			if p == 0.15 {
+				for s := rng.Intn(cols); s < n; s += cols {
+					dead = append(dead, s)
+				}
+			}
+			masks = append(masks, dead)
+		}
 		for _, deadSlots := range masks {
 			occupied := make([]bool, n)
 			for i := range occupied {
@@ -512,6 +667,9 @@ func TestRemaskMatchesFullRebuild(t *testing.T) {
 				if !equalInts(g.Servers(s), want[s]) {
 					t.Fatalf("n=%d dead=%v slot %d: incremental %v != full rebuild %v",
 						n, deadSlots, s, g.Servers(s), want[s])
+				}
+				if got := g.Servers(s); cap(got) != len(got) {
+					t.Fatalf("n=%d dead=%v slot %d: cap %d != len %d", n, deadSlots, s, cap(got), len(got))
 				}
 			}
 		}
